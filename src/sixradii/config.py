@@ -39,8 +39,6 @@ SCHEMA: tuple[SchemaField, ...] = (
     SchemaField("bend_elongation_per_mm", "float", 0.057,
                 "straightened-length excess per mm of wire diameter"),
     SchemaField("cut_elongation", "float", 0.095, "long-side bevel protrusion per cut, mm"),
-    SchemaField("cut_shortening_short_side", "float", 0.085,
-                "short-side bevel shortening, mm (documentation only)"),
     SchemaField("cut_match_stdev", "float", 0.09, "stdev of cutting a wire to match, mm"),
     SchemaField("juxtaposition_span", "float", 0.18, "width of the uniform juxtaposition error, mm"),
     SchemaField("circumference_stdev_base", "float", 0.05,
@@ -51,12 +49,6 @@ SCHEMA: tuple[SchemaField, ...] = (
                 "stdev pinned at radius 450 (set 0.3538 for the recorded constant); 'none' uses the fitted line"),
     SchemaField("fixed_errors_enabled", "bool", True, "apply systematic error terms"),
     SchemaField("random_errors_enabled", "bool", True, "apply random error terms"),
-    SchemaField("cross_section_distortion", "float", 0.0,
-                "discounted source, kept at zero"),
-    SchemaField("groove_systematic_error", "float", 0.0,
-                "discounted source, kept at zero"),
-    SchemaField("six_r_marking_error", "float", 0.0,
-                "discounted source, kept at zero"),
     SchemaField("min_peak_count", "int", 5, "minimum counts in the peak bin"),
     SchemaField("peak_dominance", "float", 1.05, "required peak/neighbor count ratio"),
     SchemaField("min_consecutive_bins", "int", 5,
@@ -80,7 +72,6 @@ class RunConfig:
     wire_diameter: float = 0.5
     bend_elongation_per_mm: float = 0.057
     cut_elongation: float = 0.095
-    cut_shortening_short_side: float = 0.085
     cut_match_stdev: float = 0.09
     juxtaposition_span: float = 0.18
     circumference_stdev_base: float = 0.05
@@ -88,9 +79,6 @@ class RunConfig:
     circumference_stdev_override: float | None = None
     fixed_errors_enabled: bool = True
     random_errors_enabled: bool = True
-    cross_section_distortion: float = 0.0
-    groove_systematic_error: float = 0.0
-    six_r_marking_error: float = 0.0
     min_peak_count: int = 5
     peak_dominance: float = 1.05
     min_consecutive_bins: int = 5
@@ -103,7 +91,6 @@ class RunConfig:
             wire_diameter=self.wire_diameter,
             bend_elongation_per_mm=self.bend_elongation_per_mm,
             cut_elongation=self.cut_elongation,
-            cut_shortening_short_side=self.cut_shortening_short_side,
             cut_match_stdev=self.cut_match_stdev,
             juxtaposition_span=self.juxtaposition_span,
             circumference_stdev_base=self.circumference_stdev_base,
@@ -111,9 +98,6 @@ class RunConfig:
             circumference_stdev_override=self.circumference_stdev_override,
             fixed_errors_enabled=self.fixed_errors_enabled,
             random_errors_enabled=self.random_errors_enabled,
-            cross_section_distortion=self.cross_section_distortion,
-            groove_systematic_error=self.groove_systematic_error,
-            six_r_marking_error=self.six_r_marking_error,
         )
 
     def trial_config(self) -> TrialConfig:

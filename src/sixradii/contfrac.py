@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 
 @dataclass(frozen=True)
@@ -38,11 +38,15 @@ def cf_expand(
         raise ValueError("x must be > 0")
     if max_terms is not None and max_terms < 1:
         raise ValueError("max_terms must be >= 1")
-    if tolerance < 0:
+    if not tolerance >= 0:
         raise ValueError("tolerance must be >= 0")
     if isinstance(x, (int, Fraction)):
-        frac = Fraction(x)
-        return _expand_exact(frac.numerator, frac.denominator, max_terms, tolerance)
+        # r/q < tolerance, compared exactly in integers. Every r/q is below 1,
+        # so a tolerance above 1 (even inf) acts like 1.
+        tn, td = Fraction(min(tolerance, 1)).as_integer_ratio()
+        p, q = Fraction(x).as_integer_ratio()
+        quotients, exact = _divide(p, q, max_terms, lambda r, b: r * td < tn * b)
+        return CFExpansion(tuple(quotients), exact)
     quotients: list[int] = []
     value = float(x)
     exact = False
@@ -57,19 +61,30 @@ def cf_expand(
     return CFExpansion(tuple(quotients), exact)
 
 
-def _expand_exact(
-    p: int, q: int, max_terms: int | None, tolerance: float
-) -> CFExpansion:
+def _divide(
+    a: float | int, b: float | int, max_terms: int | None, stop: Callable
+) -> tuple[list[int], bool]:
+    """Repeated division with remainder of a by b, Euclid style.
+
+    Integer pairs divide exactly; any float divides in floating point.
+    Stops after ``max_terms`` quotients, when a remainder reaches zero
+    (reported as True), or when ``stop(remainder, divisor)`` holds.
+    """
+    exact_arithmetic = isinstance(a, int) and isinstance(b, int)
     quotients: list[int] = []
     while max_terms is None or len(quotients) < max_terms:
-        a, r = divmod(p, q)
-        quotients.append(int(a))
+        if exact_arithmetic:
+            q, r = divmod(a, b)
+        else:
+            q = math.floor(a / b)
+            r = a - q * b
+        quotients.append(int(q))
         if r == 0:
-            return CFExpansion(tuple(quotients), True)
-        if Fraction(r, q) < tolerance:
-            return CFExpansion(tuple(quotients), False)
-        p, q = q, r
-    return CFExpansion(tuple(quotients), False)
+            return quotients, True
+        if stop(r, b):
+            break
+        a, b = b, r
+    return quotients, False
 
 
 def canonicalize(quotients: Sequence[int]) -> tuple[int, ...]:
@@ -121,19 +136,7 @@ def euclid_quotients(
         raise ValueError("max_terms must be >= 1")
     if tolerance < 0:
         raise ValueError("tolerance must be >= 0")
-    exact_arithmetic = isinstance(a, int) and isinstance(b, int)
-    quotients: list[int] = []
-    while max_terms is None or len(quotients) < max_terms:
-        if exact_arithmetic:
-            q, r = divmod(a, b)
-        else:
-            q = math.floor(a / b)
-            r = a - q * b
-        quotients.append(int(q))
-        if r == 0 or r < tolerance:
-            break
-        a, b = b, r
-    return quotients
+    return _divide(a, b, max_terms, lambda r, _: r < tolerance)[0]
 
 
 def pi_estimate(ratio: Fraction) -> float:

@@ -4,9 +4,14 @@ All lengths are millimeters. Defaults are the values measured for 0.5 mm
 copper wire cut with a 20-degree blade: bend shortening of the wire midline
 (so the straightened piece runs long), bevel protrusion per cut, the uniform
 juxtaposition overlap of beveled ends, cut-to-match scatter, and the
-radius-dependent scatter of laying wire in the circular groove. Three
-assessed sources came out below the decision threshold and are carried as
-named zero constants so the budget is complete.
+radius-dependent scatter of laying wire in the circular groove.
+
+Four measured quantities are not modelled. The short side of a beveled cut
+falls 0.085 mm short, but pieces are laid long side to long side, so only
+the 0.095 mm protrusion enters the arithmetic. Cross-section distortion of
+the bent wire, a systematic error of the groove itself, and the error of
+marking 6R on the wire were assessed and found to have no measurable effect
+at the flip threshold (0.0 mm each).
 """
 
 from __future__ import annotations
@@ -27,18 +32,15 @@ OVERRIDE_RADIUS = 450.0
 
 @dataclass(frozen=True)
 class ErrorModel:
-    """Every quantified error source, each class behind an on/off toggle.
+    """Every modelled error source, each class behind an on/off toggle.
 
     Fixed errors are systematic offsets invisible to the measurer; random
-    errors scatter from trial to trial. ``cut_shortening_short_side`` is
-    recorded for completeness only -- pieces are laid long-side to long-side,
-    so the simulation arithmetic uses the 0.095 protrusion alone.
+    errors scatter from trial to trial.
     """
 
     wire_diameter: float = 0.5
     bend_elongation_per_mm: float = 0.057
     cut_elongation: float = 0.095
-    cut_shortening_short_side: float = 0.085
     cut_match_stdev: float = 0.09
     juxtaposition_span: float = 0.18
     circumference_stdev_base: float = 0.05
@@ -46,10 +48,6 @@ class ErrorModel:
     circumference_stdev_override: float | None = None
     fixed_errors_enabled: bool = True
     random_errors_enabled: bool = True
-    # Assessed and discounted: no measurable effect at the flip threshold.
-    cross_section_distortion: float = 0.0
-    groove_systematic_error: float = 0.0
-    six_r_marking_error: float = 0.0
 
     def __post_init__(self) -> None:
         if self.wire_diameter <= 0:
@@ -57,14 +55,10 @@ class ErrorModel:
         for name in (
             "bend_elongation_per_mm",
             "cut_elongation",
-            "cut_shortening_short_side",
             "cut_match_stdev",
             "juxtaposition_span",
             "circumference_stdev_base",
             "circumference_stdev_slope",
-            "cross_section_distortion",
-            "groove_systematic_error",
-            "six_r_marking_error",
         ):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")

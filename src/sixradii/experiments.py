@@ -16,17 +16,14 @@ from enum import Enum
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import ErrorModel
-from .histogram import Histogram, StoppingCriteria, run_campaign
+from .histogram import StoppingCriteria, run_campaign
 from .measurement import (
-    DegenerateConfigError,
     TrialConfig,
-    accumulate_until_exceeds,
+    first_iteration,
     sample_circumference_piece,
     simulate_trial,
 )
 from .stochastics import RngState, derive_child, derive_seed, rng_new
-
-_TRIAL_LIMIT = 1_000_000
 
 
 class CostCapError(RuntimeError):
@@ -128,21 +125,24 @@ def _campaign_range_worker(task) -> list[CampaignOutcome]:
     outcomes = []
     for i in range(start, stop):
         result = run_campaign(derive_child(root, i), cfg, criteria, max_measurements)
-        outcomes.append(
-            CampaignOutcome(result.selected, result.measurements, result.discarded)
-        )
+        selected = result.selected if criteria is not None else result.histogram.peak_bin()
+        outcomes.append(CampaignOutcome(selected, result.measurements, result.discarded))
     return outcomes
 
 
 def run_campaign_batch(
     cfg: TrialConfig,
-    criteria: StoppingCriteria,
+    criteria: StoppingCriteria | None,
     n_campaigns: int,
     seed: int,
     max_measurements: int = 10_000,
     workers: int = 1,
 ) -> list[CampaignOutcome]:
-    """n independent stopping-rule campaigns; campaign i uses child stream i."""
+    """n independent stopping-rule campaigns; campaign i uses child stream i.
+
+    With ``criteria=None`` every campaign records exactly ``max_measurements``
+    and selects its histogram's peak bin.
+    """
     if n_campaigns < 1:
         raise ValueError("n_campaigns must be >= 1")
     root = rng_new(seed)
@@ -154,50 +154,13 @@ def run_campaign_batch(
     return [outcome for chunk in chunks for outcome in chunk]
 
 
-def _fixed_budget_campaign(stream: RngState, cfg: TrialConfig, budget: int) -> CampaignOutcome:
-    hist = Histogram()
-    recorded = 0
-    discarded = 0
-    trial_index = 0
-    while recorded < budget:
-        trial = simulate_trial(derive_child(stream, trial_index), cfg)
-        trial_index += 1
-        if trial.discarded:
-            discarded += 1
-            if trial_index > _TRIAL_LIMIT:
-                raise DegenerateConfigError(
-                    "fixed-budget campaign exceeded the trial limit"
-                )
-            continue
-        hist.record(trial.second_quotient)
-        recorded += 1
-    return CampaignOutcome(hist.peak_bin(), recorded, discarded)
-
-
-def _fixed_budget_range_worker(task) -> list[CampaignOutcome]:
-    key, start, stop, cfg, budget = task
-    root = RngState(key[0], tuple(key[1:]))
-    return [
-        _fixed_budget_campaign(derive_child(root, i), cfg, budget)
-        for i in range(start, stop)
-    ]
-
-
 def run_fixed_budget_batch(
     cfg: TrialConfig, budget: int, n_campaigns: int, seed: int, workers: int = 1
 ) -> list[CampaignOutcome]:
     """n campaigns that each record exactly ``budget`` measurements, no stopping rule."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    if n_campaigns < 1:
-        raise ValueError("n_campaigns must be >= 1")
-    root = rng_new(seed)
-    tasks = [
-        (root.key, start, stop, cfg, budget)
-        for start, stop in _split_ranges(n_campaigns, workers * 4)
-    ]
-    chunks = _run_tasks(_fixed_budget_range_worker, tasks, workers)
-    return [outcome for chunk in chunks for outcome in chunk]
+    return run_campaign_batch(cfg, None, n_campaigns, seed, budget, workers)
 
 
 def summarize_success(outcomes: Sequence[CampaignOutcome]) -> SuccessStats:
@@ -256,12 +219,10 @@ def ablation_distribution(
     return {q: counter[q] / kept for q in sorted(counter)}
 
 
-def _first_quotient(stream: RngState, cfg: TrialConfig) -> int:
-    piece = sample_circumference_piece(stream, cfg)
-    if piece <= 0 or piece >= cfg.six_r:
-        raise DegenerateConfigError("circumference piece outside (0, 6R)")
-    acc = accumulate_until_exceeds(stream, cfg, piece, cfg.six_r)
-    return acc.pieces_used - 1
+def _fitted_line_only(cfg_template: TrialConfig | None) -> TrialConfig:
+    """The template (or the default setup) with the radius-450 override disabled."""
+    cfg = cfg_template if cfg_template is not None else TrialConfig()
+    return replace(cfg, error_model=replace(cfg.error_model, circumference_stdev_override=None))
 
 
 def _radius_sweep_worker(task) -> RadiusSweepPoint:
@@ -269,11 +230,11 @@ def _radius_sweep_worker(task) -> RadiusSweepPoint:
     cfg_r = replace(cfg, radius=radius)
     root = RngState(key[0], tuple(key[1:]))
     radius_stream = derive_child(root, radius_index)
-    hits = sum(
-        1
-        for t in range(trials)
-        if _first_quotient(derive_child(radius_stream, t), cfg_r) == 21
-    )
+    hits = 0
+    for t in range(trials):
+        stream = derive_child(radius_stream, t)
+        quotient, _ = first_iteration(stream, cfg_r, sample_circumference_piece(stream, cfg_r))
+        hits += quotient == 21
     return RadiusSweepPoint(radius, hits / trials)
 
 
@@ -293,10 +254,7 @@ def radius_first_iteration_sweep(
         raise ValueError("radii must be non-empty")
     if trials_per_radius < 1:
         raise ValueError("trials_per_radius must be >= 1")
-    cfg = cfg_template if cfg_template is not None else TrialConfig()
-    cfg = replace(
-        cfg, error_model=replace(cfg.error_model, circumference_stdev_override=None)
-    )
+    cfg = _fitted_line_only(cfg_template)
     root = rng_new(seed)
     tasks = [
         (root.key, i, float(radius), trials_per_radius, cfg)
@@ -328,10 +286,7 @@ def radius_budget_grid(
             f"{len(cells)} cells x {spec.campaigns_per_cell} campaigns exceeds "
             f"cost cap {spec.cost_cap}"
         )
-    cfg = cfg_template if cfg_template is not None else TrialConfig()
-    cfg = replace(
-        cfg, error_model=replace(cfg.error_model, circumference_stdev_override=None)
-    )
+    cfg = _fitted_line_only(cfg_template)
     tasks = [
         (float(radius), int(budget), spec.campaigns_per_cell, derive_seed(spec.base_seed, k), cfg)
         for k, (radius, budget) in enumerate(cells)

@@ -156,7 +156,8 @@ class CampaignResult:
     """Outcome of one measure-until-stopping campaign.
 
     ``selected`` is None when the measurement budget ran out before the
-    stopping rule was satisfied (a no-decision outcome, not an error).
+    stopping rule was satisfied (a no-decision outcome, not an error), and
+    always when the campaign ran without a rule.
     """
 
     selected: int | None
@@ -174,7 +175,7 @@ class CampaignResult:
 def run_campaign(
     rng: RngState,
     cfg: TrialConfig,
-    criteria: StoppingCriteria,
+    criteria: StoppingCriteria | None,
     max_measurements: int = 10_000,
     config_digest: str = "",
 ) -> CampaignResult:
@@ -185,6 +186,10 @@ def run_campaign(
     budget. The rule is evaluated after every recorded measurement. Each
     trial runs on its own child stream of ``rng``, so a campaign is a pure
     function of the stream key and the configuration.
+
+    ``criteria=None`` never stops: the campaign records exactly
+    ``max_measurements`` and ``selected`` stays None (a fixed-budget campaign
+    reads its answer from ``histogram.peak_bin()``).
     """
     if max_measurements < 1:
         raise ValueError("max_measurements must be >= 1")
@@ -206,7 +211,7 @@ def run_campaign(
             continue
         hist.record(trial.second_quotient)
         recorded += 1
-        if stopping_met(hist, criteria):
+        if criteria is not None and stopping_met(hist, criteria):
             selected = hist.peak_bin()
             break
     return CampaignResult(

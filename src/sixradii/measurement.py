@@ -73,7 +73,9 @@ def sample_circumference_piece(rng: RngState, cfg: TrialConfig) -> float:
 
     Exact geometry plus bend elongation, groove-placement noise, three cut
     protrusions (two ends of the circumference wire, one cut at the mark),
-    and cut-to-match noise, with the class toggles applied.
+    and cut-to-match noise, with the class toggles applied. A piece outside
+    (0, 6R) cannot be counted against the mark and raises
+    :class:`DegenerateConfigError`.
     """
     em = cfg.error_model
     piece = cfg.true_circumference - cfg.six_r
@@ -81,6 +83,10 @@ def sample_circumference_piece(rng: RngState, cfg: TrialConfig) -> float:
     piece += sample_normal(rng, 0.0, em.circumference_stdev(cfg.radius))
     piece += 3.0 * em.cut_elongation_effective()
     piece += sample_normal(rng, 0.0, em.cut_match_stdev_effective())
+    if piece <= 0 or piece >= cfg.six_r:
+        raise DegenerateConfigError(
+            f"circumference piece {piece} outside (0, 6R); check error magnitudes"
+        )
     return piece
 
 
@@ -195,10 +201,6 @@ def simulate_trial(rng: RngState, cfg: TrialConfig) -> TrialResult:
     which lands in histogram overflow.
     """
     c_piece = sample_circumference_piece(rng, cfg)
-    if c_piece <= 0 or c_piece >= cfg.six_r:
-        raise DegenerateConfigError(
-            f"circumference piece {c_piece} outside (0, 6R); check error magnitudes"
-        )
     quotient, remainder = first_iteration(rng, cfg, c_piece)
     if remainder <= 0:
         second = 0

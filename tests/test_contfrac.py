@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from sixradii.contfrac import (
+    CFExpansion,
     canonicalize,
     cf_expand,
     convergent,
@@ -41,6 +42,17 @@ def test_cf_expand_validation():
         cf_expand(2.0, max_terms=0)
     with pytest.raises(ValueError):
         cf_expand(2.0, tolerance=-0.1)
+    with pytest.raises(ValueError):
+        cf_expand(Fraction(3, 2), tolerance=math.nan)
+
+
+def test_fraction_tolerance_is_compared_exactly():
+    # 1/10 < float 0.1 (whose binary value is slightly above 1/10), so this stops
+    assert cf_expand(Fraction(21, 10), tolerance=0.1) == CFExpansion((2,), False)
+    # 1/2 is not below 0.5, so the expansion runs on to a zero remainder
+    assert cf_expand(Fraction(7, 2), tolerance=0.5) == CFExpansion((3, 2), True)
+    assert cf_expand(Fraction(111, 106), tolerance=math.inf) == CFExpansion((1,), False)
+    assert cf_expand(2, tolerance=math.inf) == CFExpansion((2,), True)
 
 
 def test_convergent_values():

@@ -56,13 +56,6 @@ def test_random_toggle_zeroes_only_random_terms():
     assert model.cut_elongation_effective() == 0.095
 
 
-def test_discounted_sources_are_zero():
-    model = ErrorModel()
-    assert model.cross_section_distortion == 0.0
-    assert model.groove_systematic_error == 0.0
-    assert model.six_r_marking_error == 0.0
-
-
 def test_validation_rejects_bad_values():
     with pytest.raises(ValueError):
         ErrorModel(wire_diameter=0.0)

@@ -143,6 +143,10 @@ def test_campaign_budget_and_selection_invariants():
     assert result.stopped == (result.selected is not None)
     if result.stopped:
         assert result.selected == result.histogram.peak_bin()
+    fixed = run_campaign(rng_new(3), TrialConfig(), None, 400)
+    assert fixed.measurements == 400
+    assert fixed.histogram.total_recorded == 400
+    assert fixed.selected is None
 
 
 def test_zero_error_campaign_never_stops():
