@@ -10,6 +10,7 @@ import sys
 from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
+from typing import Mapping, NamedTuple
 
 from .config import (
     SCHEMA,
@@ -151,25 +152,9 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return resolve(file_values, _flag_values(args), os.environ.get(ENV_OUT_DIR))
 
 
-def _out_dir(cfg: RunConfig) -> Path:
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _parse_float_list(text: str, flag: str) -> tuple[float, ...]:
+def _parse_list(text: str, flag: str, kind: type = float) -> tuple:
     try:
-        values = tuple(float(p) for p in text.split(",") if p.strip())
-    except ValueError:
-        raise ConfigError(f"invalid value for {flag}: {text!r}") from None
-    if not values:
-        raise ConfigError(f"{flag} must list at least one value")
-    return values
-
-
-def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
-    try:
-        values = tuple(int(p) for p in text.split(",") if p.strip())
+        values = tuple(kind(p) for p in text.split(",") if p.strip())
     except ValueError:
         raise ConfigError(f"invalid value for {flag}: {text!r}") from None
     if not values:
@@ -185,177 +170,166 @@ def _histogram_rows(hist: Histogram) -> list[tuple]:
     return rows
 
 
-def cmd_trial(args: argparse.Namespace, cfg: RunConfig) -> int:
-    trial = simulate_trial(rng_new(cfg.seed), cfg.trial_config())
-    print(json.dumps(asdict(trial), sort_keys=True))
-    return EXIT_OK
+class Report(NamedTuple):
+    """What one command reports.
+
+    ``tables`` maps each CSV file stem to its (header, rows); ``histogram``
+    is drawn as ``<command>.svg``. With ``results`` None the command
+    reports on stdout only and writes no file.
+    """
+
+    summary: str
+    parameters: Mapping = {}
+    results: Mapping | None = None
+    tables: Mapping = {}
+    histogram: Histogram | None = None
 
 
-def cmd_campaign(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _write_report(command: str, cfg: RunConfig, report: Report) -> None:
+    """Write the report files ``cfg.formats`` selects, then print the summary."""
+    if report.results is not None:
+        out = Path(cfg.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        if "csv" in cfg.formats:
+            for stem, (header, rows) in report.tables.items():
+                write_csv(out / f"{stem}.csv", header, rows)
+        if "json" in cfg.formats:
+            payload = provenance_payload(command, cfg, report.parameters, report.results)
+            write_json(out / f"{command.replace('-', '_')}.json", payload)
+        hist = report.histogram
+        if "svg" in cfg.formats and hist is not None and hist.total_recorded > 0:
+            render_histogram_svg(hist, out / f"{command}.svg")
+    print(report.summary)
+
+
+def cmd_trial(args: argparse.Namespace, cfg: RunConfig) -> Report:
+    trial = simulate_trial(rng_new(cfg.seed), cfg.trial)
+    return Report(json.dumps(asdict(trial), sort_keys=True))
+
+
+def cmd_campaign(args: argparse.Namespace, cfg: RunConfig) -> Report:
     result = run_campaign(
         rng_new(cfg.seed),
-        cfg.trial_config(),
-        cfg.stopping_criteria(),
+        cfg.trial,
+        cfg.stopping,
         args.max_measurements,
         config_digest=digest(cfg),
     )
-    out = _out_dir(cfg)
-    if "csv" in cfg.formats:
-        write_csv(out / "campaign.csv", ("bin", "count"), _histogram_rows(result.histogram))
-    if "json" in cfg.formats:
-        payload = provenance_payload(
-            "campaign", cfg,
-            {"max_measurements": args.max_measurements},
-            {
-                "selected": result.selected,
-                "measurements": result.measurements,
-                "discarded": result.discarded,
-                "stopped": result.stopped,
-                "histogram": result.histogram.as_dict(),
-                "stream_key": list(result.stream_key),
-            },
-        )
-        write_json(out / "campaign.json", payload)
-    if "svg" in cfg.formats and result.histogram.total_recorded > 0:
-        render_histogram_svg(result.histogram, out / "campaign.svg")
     selected = result.selected if result.selected is not None else "none"
-    print(f"selected={selected} measurements={result.measurements} "
-          f"discarded={result.discarded}")
-    return EXIT_OK
+    return Report(
+        f"selected={selected} measurements={result.measurements} "
+        f"discarded={result.discarded}",
+        {"max_measurements": args.max_measurements},
+        {
+            "selected": result.selected,
+            "measurements": result.measurements,
+            "discarded": result.discarded,
+            "stopped": result.stopped,
+            "histogram": result.histogram.as_dict(),
+            "stream_key": list(result.stream_key),
+        },
+        {"campaign": (("bin", "count"), _histogram_rows(result.histogram))},
+        result.histogram,
+    )
 
 
-def cmd_success(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_success(args: argparse.Namespace, cfg: RunConfig) -> Report:
     outcomes = run_campaign_batch(
-        cfg.trial_config(), cfg.stopping_criteria(), args.campaigns, cfg.seed,
+        cfg.trial, cfg.stopping, args.campaigns, cfg.seed,
         args.max_measurements, workers=args.threads,
     )
     stats = summarize_success(outcomes)
-    out = _out_dir(cfg)
-    if "csv" in cfg.formats:
-        write_csv(
-            out / "success.csv",
-            ("success_fraction", "mean_measurements", "no_decision_fraction",
-             "ci_half_width", "n_campaigns"),
-            [(stats.success_fraction, stats.mean_measurements,
-              stats.no_decision_fraction, stats.ci_half_width, stats.n_campaigns)],
-        )
-        write_csv(
-            out / "success_campaigns.csv",
-            ("campaign", "selected", "measurements", "discarded"),
-            [(i, o.selected, o.measurements, o.discarded) for i, o in enumerate(outcomes)],
-        )
-    if "json" in cfg.formats:
-        payload = provenance_payload(
-            "success", cfg,
-            {"campaigns": args.campaigns, "max_measurements": args.max_measurements},
-            {
-                "success_fraction": stats.success_fraction,
-                "mean_measurements": stats.mean_measurements,
-                "no_decision_fraction": stats.no_decision_fraction,
-                "ci_half_width": stats.ci_half_width,
-            },
-        )
-        write_json(out / "success.json", payload)
-    print(f"success={stats.success_fraction:.3f} "
-          f"mean_measurements={stats.mean_measurements:.2f} "
-          f"no_decision={stats.no_decision_fraction:.3f}")
-    return EXIT_OK
-
-
-def cmd_budget(args: argparse.Namespace, cfg: RunConfig) -> int:
-    stats = fixed_budget_success(
-        cfg.trial_config(), args.budget, args.campaigns, cfg.seed, workers=args.threads
+    return Report(
+        f"success={stats.success_fraction:.3f} "
+        f"mean_measurements={stats.mean_measurements:.2f} "
+        f"no_decision={stats.no_decision_fraction:.3f}",
+        {"campaigns": args.campaigns, "max_measurements": args.max_measurements},
+        {
+            "success_fraction": stats.success_fraction,
+            "mean_measurements": stats.mean_measurements,
+            "no_decision_fraction": stats.no_decision_fraction,
+            "ci_half_width": stats.ci_half_width,
+        },
+        {
+            "success": (
+                ("success_fraction", "mean_measurements", "no_decision_fraction",
+                 "ci_half_width", "n_campaigns"),
+                [(stats.success_fraction, stats.mean_measurements,
+                  stats.no_decision_fraction, stats.ci_half_width, stats.n_campaigns)],
+            ),
+            "success_campaigns": (
+                ("campaign", "selected", "measurements", "discarded"),
+                [(i, o.selected, o.measurements, o.discarded) for i, o in enumerate(outcomes)],
+            ),
+        },
     )
-    out = _out_dir(cfg)
-    if "csv" in cfg.formats:
-        write_csv(
-            out / "budget.csv",
+
+
+def cmd_budget(args: argparse.Namespace, cfg: RunConfig) -> Report:
+    stats = fixed_budget_success(
+        cfg.trial, args.budget, args.campaigns, cfg.seed, workers=args.threads
+    )
+    return Report(
+        f"budget={args.budget} success={stats.success_fraction:.3f}",
+        {"budget": args.budget, "campaigns": args.campaigns},
+        {"success_fraction": stats.success_fraction, "ci_half_width": stats.ci_half_width},
+        {"budget": (
             ("budget", "success_fraction", "ci_half_width", "n_campaigns"),
             [(args.budget, stats.success_fraction, stats.ci_half_width, stats.n_campaigns)],
-        )
-    if "json" in cfg.formats:
-        payload = provenance_payload(
-            "budget", cfg,
-            {"budget": args.budget, "campaigns": args.campaigns},
-            {"success_fraction": stats.success_fraction, "ci_half_width": stats.ci_half_width},
-        )
-        write_json(out / "budget.json", payload)
-    print(f"budget={args.budget} success={stats.success_fraction:.3f}")
-    return EXIT_OK
-
-
-def cmd_ablate(args: argparse.Namespace, cfg: RunConfig) -> int:
-    mode = AblationMode.from_name(args.mode)
-    distribution = ablation_distribution(cfg.trial_config(), mode, args.trials, cfg.seed)
-    out = _out_dir(cfg)
-    if "csv" in cfg.formats:
-        write_csv(
-            out / "ablate.csv",
-            ("second_quotient", "fraction"),
-            sorted(distribution.items()),
-        )
-    if "json" in cfg.formats:
-        payload = provenance_payload(
-            "ablate", cfg,
-            {"mode": mode.value, "trials": args.trials},
-            {"distribution": {str(k): v for k, v in distribution.items()}},
-        )
-        write_json(out / "ablate.json", payload)
-    rendered = ", ".join(f"{k}: {v:.3f}" for k, v in sorted(distribution.items()))
-    print(f"mode={mode.value} distribution={{{rendered}}}")
-    return EXIT_OK
-
-
-def cmd_sweep_radius(args: argparse.Namespace, cfg: RunConfig) -> int:
-    radii = _parse_float_list(args.radii, "--radii")
-    points = radius_first_iteration_sweep(
-        radii, args.trials_per_radius, cfg.trial_config(), cfg.seed, workers=args.threads
+        )},
     )
-    out = _out_dir(cfg)
-    if "csv" in cfg.formats:
-        write_csv(out / "sweep_radius.csv", ("radius", "fraction_first_21"), points)
-    if "json" in cfg.formats:
-        payload = provenance_payload(
-            "sweep-radius", cfg,
-            {"radii": list(radii), "trials_per_radius": args.trials_per_radius},
-            {"fractions": {repr(p.radius): p.fraction_first_21 for p in points}},
-        )
-        write_json(out / "sweep_radius.json", payload)
+
+
+def cmd_ablate(args: argparse.Namespace, cfg: RunConfig) -> Report:
+    mode = AblationMode.from_name(args.mode)
+    distribution = ablation_distribution(cfg.trial, mode, args.trials, cfg.seed)
+    rendered = ", ".join(f"{k}: {v:.3f}" for k, v in sorted(distribution.items()))
+    return Report(
+        f"mode={mode.value} distribution={{{rendered}}}",
+        {"mode": mode.value, "trials": args.trials},
+        {"distribution": {str(k): v for k, v in distribution.items()}},
+        {"ablate": (("second_quotient", "fraction"), sorted(distribution.items()))},
+    )
+
+
+def cmd_sweep_radius(args: argparse.Namespace, cfg: RunConfig) -> Report:
+    radii = _parse_list(args.radii, "--radii")
+    points = radius_first_iteration_sweep(
+        radii, args.trials_per_radius, cfg.trial, cfg.seed, workers=args.threads
+    )
     fractions = [p.fraction_first_21 for p in points]
-    print(f"radii={len(points)} min_fraction={min(fractions):.3f} "
-          f"max_fraction={max(fractions):.3f}")
-    return EXIT_OK
+    return Report(
+        f"radii={len(points)} min_fraction={min(fractions):.3f} "
+        f"max_fraction={max(fractions):.3f}",
+        {"radii": list(radii), "trials_per_radius": args.trials_per_radius},
+        {"fractions": {repr(p.radius): p.fraction_first_21 for p in points}},
+        {"sweep_radius": (("radius", "fraction_first_21"), points)},
+    )
 
 
-def cmd_grid(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_grid(args: argparse.Namespace, cfg: RunConfig) -> Report:
     spec = SweepSpec(
-        radii=_parse_float_list(args.radii, "--radii"),
-        budgets=_parse_int_list(args.budgets, "--budgets"),
+        radii=_parse_list(args.radii, "--radii"),
+        budgets=_parse_list(args.budgets, "--budgets", int),
         campaigns_per_cell=args.campaigns_per_cell,
         base_seed=cfg.seed,
         cost_cap=args.cost_cap,
     )
-    cells = radius_budget_grid(spec, cfg.trial_config(), workers=args.threads)
-    out = _out_dir(cfg)
-    if "csv" in cfg.formats:
-        write_csv(out / "grid.csv", ("radius", "budget", "success_fraction"), cells)
-    if "json" in cfg.formats:
-        payload = provenance_payload(
-            "grid", cfg,
-            {
-                "radii": list(spec.radii),
-                "budgets": list(spec.budgets),
-                "campaigns_per_cell": spec.campaigns_per_cell,
-                "cost_cap": spec.cost_cap,
-            },
-            {"cells": [[c.radius, c.budget, c.success_fraction] for c in cells]},
-        )
-        write_json(out / "grid.json", payload)
+    cells = radius_budget_grid(spec, cfg.trial, workers=args.threads)
     budget_range = _effect_range(cells, by_budget=True)
     radius_range = _effect_range(cells, by_budget=False)
-    print(f"cells={len(cells)} budget_effect={budget_range:.3f} "
-          f"radius_effect={radius_range:.3f}")
-    return EXIT_OK
+    return Report(
+        f"cells={len(cells)} budget_effect={budget_range:.3f} "
+        f"radius_effect={radius_range:.3f}",
+        {
+            "radii": list(spec.radii),
+            "budgets": list(spec.budgets),
+            "campaigns_per_cell": spec.campaigns_per_cell,
+            "cost_cap": spec.cost_cap,
+        },
+        {"cells": [[c.radius, c.budget, c.success_fraction] for c in cells]},
+        {"grid": (("radius", "budget", "success_fraction"), cells)},
+    )
 
 
 def _effect_range(cells, by_budget: bool) -> float:
@@ -384,71 +358,50 @@ def _parse_cf_value(text: str) -> float | Fraction:
         raise ConfigError(f"invalid value for --value: {text!r}") from None
 
 
-def cmd_cf(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_cf(args: argparse.Namespace, cfg: RunConfig) -> Report:
     value = _parse_cf_value(args.value)
     expansion = cf_expand(value, args.terms, args.tolerance)
     ratio = convergent(expansion.quotients)
     pi_value = pi_estimate(ratio)
-    out = _out_dir(cfg)
-    if "csv" in cfg.formats:
-        write_csv(
-            out / "cf.csv",
-            ("term_index", "quotient"),
-            list(enumerate(expansion.quotients)),
-        )
-    if "json" in cfg.formats:
-        payload = provenance_payload(
-            "cf", cfg,
-            {"value": args.value, "terms": args.terms, "tolerance": args.tolerance},
-            {
-                "quotients": list(expansion.quotients),
-                "exact": expansion.exact,
-                "convergent": f"{ratio.numerator}/{ratio.denominator}",
-                "pi_estimate": pi_value,
-            },
-        )
-        write_json(out / "cf.json", payload)
     quotients = ",".join(str(q) for q in expansion.quotients)
-    print(f"quotients=[{quotients}] convergent={ratio.numerator}/{ratio.denominator} "
-          f"pi={pi_value:.7f}")
-    return EXIT_OK
+    return Report(
+        f"quotients=[{quotients}] convergent={ratio.numerator}/{ratio.denominator} "
+        f"pi={pi_value:.7f}",
+        {"value": args.value, "terms": args.terms, "tolerance": args.tolerance},
+        {
+            "quotients": list(expansion.quotients),
+            "exact": expansion.exact,
+            "convergent": f"{ratio.numerator}/{ratio.denominator}",
+            "pi_estimate": pi_value,
+        },
+        {"cf": (("term_index", "quotient"), list(enumerate(expansion.quotients)))},
+    )
 
 
-def cmd_recip(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_recip(args: argparse.Namespace, cfg: RunConfig) -> Report:
     study = ReciprocalStudyConfig(
         numerator_mean=args.num_mean,
         numerator_stdev=args.num_stdev,
         denominator_mean=args.den_mean,
-        denominator_stdevs=_parse_float_list(args.stdevs, "--stdevs"),
+        denominator_stdevs=_parse_list(args.stdevs, "--stdevs"),
         samples_per_point=args.samples,
         bin_width=args.bin_width,
     )
     points = reciprocal_peak_curve(study, rng_new(cfg.seed))
-    out = _out_dir(cfg)
-    if "csv" in cfg.formats:
-        write_csv(
-            out / "recip.csv",
-            ("denominator_stdev", "peak_location", "central_mean"),
-            points,
-        )
-    if "json" in cfg.formats:
-        payload = provenance_payload(
-            "recip", cfg,
-            {
-                "numerator_mean": study.numerator_mean,
-                "numerator_stdev": study.numerator_stdev,
-                "denominator_mean": study.denominator_mean,
-                "denominator_stdevs": list(study.denominator_stdevs),
-                "samples_per_point": study.samples_per_point,
-                "bin_width": study.bin_width,
-            },
-            {"points": [[p.denominator_stdev, p.peak_location, p.central_mean]
-                        for p in points]},
-        )
-        write_json(out / "recip.json", payload)
-    print(f"points={len(points)} first_peak={points[0].peak_location:.4f} "
-          f"last_peak={points[-1].peak_location:.4f}")
-    return EXIT_OK
+    return Report(
+        f"points={len(points)} first_peak={points[0].peak_location:.4f} "
+        f"last_peak={points[-1].peak_location:.4f}",
+        {
+            "numerator_mean": study.numerator_mean,
+            "numerator_stdev": study.numerator_stdev,
+            "denominator_mean": study.denominator_mean,
+            "denominator_stdevs": list(study.denominator_stdevs),
+            "samples_per_point": study.samples_per_point,
+            "bin_width": study.bin_width,
+        },
+        {"points": [[p.denominator_stdev, p.peak_location, p.central_mean] for p in points]},
+        {"recip": (("denominator_stdev", "peak_location", "central_mean"), points)},
+    )
 
 
 _COMMANDS = {
@@ -469,14 +422,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _resolve_config(args)
-        return _COMMANDS[args.command](args, cfg)
+        _write_report(args.command, cfg, _COMMANDS[args.command](args, cfg))
+        return EXIT_OK
     except CostCapError as exc:
         print(f"cost cap exceeded: {exc}", file=sys.stderr)
         return EXIT_COST_CAP
     except (ConfigError, DegenerateConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except Exception as exc:  # pragma: no cover - internal failure path
+    except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

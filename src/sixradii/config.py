@@ -1,7 +1,8 @@
 """Flat key=value run configuration: parsing, precedence, and digests.
 
-One documented key per error-model, trial, and stopping-criteria field.
-Unknown keys are hard errors. Precedence when resolving: command-line flag
+One documented key per error-model, trial, and stopping-criteria field; a
+key's default and value kind are read from that dataclass field, so each
+default is written once, on the domain object. Unknown keys are hard errors. Precedence when resolving: command-line flag
 > config-file key > environment default (output directory only) > built-in
 default. The serialized form is canonical, so its SHA-256 digest identifies
 a configuration in provenance records.
@@ -10,10 +11,9 @@ a configuration in provenance records.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Mapping, NamedTuple
 
-from .errors import ErrorModel
 from .histogram import StoppingCriteria
 from .measurement import TrialConfig
 
@@ -22,98 +22,79 @@ class ConfigError(ValueError):
     """Bad config key or value; the message names the offender."""
 
 
+@dataclass(frozen=True)
+class RunConfig:
+    """A resolved run: the trial setup, the stopping rule, and run-level keys."""
+
+    trial: TrialConfig = field(default_factory=TrialConfig)
+    stopping: StoppingCriteria = field(default_factory=StoppingCriteria)
+    seed: int = 0
+    out_dir: str = "out"
+    formats: tuple[str, ...] = ("csv", "json")
+
+
+def _leaves(cls, path: tuple[str, ...] = ()):
+    """(path, field) of every scalar field of ``cls``, nested dataclasses expanded."""
+    for f in fields(cls):
+        if is_dataclass(f.default_factory):
+            yield from _leaves(f.default_factory, path + (f.name,))
+        else:
+            yield path + (f.name,), f
+
+
+_LEAVES = {path[-1]: (path, f) for path, f in _leaves(RunConfig)}
+# Config value kind of each annotation a key's field carries.
+_KINDS = {"float": "float", "int": "int", "bool": "bool", "float | None": "optional_float",
+          "str": "str", "tuple[str, ...]": "formats"}
+
+
 class SchemaField(NamedTuple):
+    """One config key; its kind and default come from the field that owns it."""
+
     name: str
     kind: str  # float | int | bool | optional_float | str | formats
     default: object
     help: str
-    in_digest: bool = True  # False for keys that cannot affect results
+    in_digest: bool  # False for keys that cannot affect results
+    path: tuple[str, ...]  # attribute path from RunConfig to the value
+
+    def read(self, cfg: RunConfig):
+        value = cfg
+        for attr in self.path:
+            value = getattr(value, attr)
+        return value
+
+
+def _key(name: str, help_text: str, in_digest: bool = True) -> SchemaField:
+    path, f = _LEAVES[name]
+    return SchemaField(name, _KINDS[f.type], f.default, help_text, in_digest, path)
 
 
 SCHEMA: tuple[SchemaField, ...] = (
-    SchemaField("radius", "float", 450.0, "circle radius in mm"),
-    SchemaField("seed", "int", 0, "root seed for all random streams"),
-    SchemaField("literal_rounding", "bool", False,
-                "use the as-written rounding branch in the second iteration"),
-    SchemaField("wire_diameter", "float", 0.5, "wire diameter in mm"),
-    SchemaField("bend_elongation_per_mm", "float", 0.057,
-                "straightened-length excess per mm of wire diameter"),
-    SchemaField("cut_elongation", "float", 0.095, "long-side bevel protrusion per cut, mm"),
-    SchemaField("cut_match_stdev", "float", 0.09, "stdev of cutting a wire to match, mm"),
-    SchemaField("juxtaposition_span", "float", 0.18, "width of the uniform juxtaposition error, mm"),
-    SchemaField("circumference_stdev_base", "float", 0.05,
-                "groove-placement stdev intercept, mm"),
-    SchemaField("circumference_stdev_slope", "float", 8.68e-4,
-                "groove-placement stdev slope, mm per mm radius"),
-    SchemaField("circumference_stdev_override", "optional_float", None,
-                "stdev pinned at radius 450 (set 0.3538 for the recorded constant); 'none' uses the fitted line"),
-    SchemaField("fixed_errors_enabled", "bool", True, "apply systematic error terms"),
-    SchemaField("random_errors_enabled", "bool", True, "apply random error terms"),
-    SchemaField("min_peak_count", "int", 5, "minimum counts in the peak bin"),
-    SchemaField("peak_dominance", "float", 1.05, "required peak/neighbor count ratio"),
-    SchemaField("min_consecutive_bins", "int", 5,
-                "minimum consecutive bins above the threshold fraction"),
-    SchemaField("bin_threshold_fraction", "float", 0.20,
-                "fraction of the peak count a bin must exceed"),
-    SchemaField("out_dir", "str", "out", "directory for report files", in_digest=False),
-    SchemaField("formats", "formats", ("csv", "json"), "output formats: csv,json,svg",
-                in_digest=False),
+    _key("radius", "circle radius in mm"),
+    _key("seed", "root seed for all random streams"),
+    _key("literal_rounding", "use the as-written rounding branch in the second iteration"),
+    _key("wire_diameter", "wire diameter in mm"),
+    _key("bend_elongation_per_mm", "straightened-length excess per mm of wire diameter"),
+    _key("cut_elongation", "long-side bevel protrusion per cut, mm"),
+    _key("cut_match_stdev", "stdev of cutting a wire to match, mm"),
+    _key("juxtaposition_span", "width of the uniform juxtaposition error, mm"),
+    _key("circumference_stdev_base", "groove-placement stdev intercept, mm"),
+    _key("circumference_stdev_slope", "groove-placement stdev slope, mm per mm radius"),
+    _key("circumference_stdev_override",
+         "stdev pinned at radius 450 (set 0.3538 for the recorded constant); 'none' uses the fitted line"),
+    _key("fixed_errors_enabled", "apply systematic error terms"),
+    _key("random_errors_enabled", "apply random error terms"),
+    _key("min_peak_count", "minimum counts in the peak bin"),
+    _key("peak_dominance", "required peak/neighbor count ratio"),
+    _key("min_consecutive_bins", "minimum consecutive bins above the threshold fraction"),
+    _key("bin_threshold_fraction", "fraction of the peak count a bin must exceed"),
+    _key("out_dir", "directory for report files", in_digest=False),
+    _key("formats", "output formats: csv,json,svg", in_digest=False),
 )
 
 _BY_NAME = {f.name: f for f in SCHEMA}
 _VALID_FORMATS = ("csv", "json", "svg")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    radius: float = 450.0
-    seed: int = 0
-    literal_rounding: bool = False
-    wire_diameter: float = 0.5
-    bend_elongation_per_mm: float = 0.057
-    cut_elongation: float = 0.095
-    cut_match_stdev: float = 0.09
-    juxtaposition_span: float = 0.18
-    circumference_stdev_base: float = 0.05
-    circumference_stdev_slope: float = 8.68e-4
-    circumference_stdev_override: float | None = None
-    fixed_errors_enabled: bool = True
-    random_errors_enabled: bool = True
-    min_peak_count: int = 5
-    peak_dominance: float = 1.05
-    min_consecutive_bins: int = 5
-    bin_threshold_fraction: float = 0.20
-    out_dir: str = "out"
-    formats: tuple[str, ...] = ("csv", "json")
-
-    def error_model(self) -> ErrorModel:
-        return ErrorModel(
-            wire_diameter=self.wire_diameter,
-            bend_elongation_per_mm=self.bend_elongation_per_mm,
-            cut_elongation=self.cut_elongation,
-            cut_match_stdev=self.cut_match_stdev,
-            juxtaposition_span=self.juxtaposition_span,
-            circumference_stdev_base=self.circumference_stdev_base,
-            circumference_stdev_slope=self.circumference_stdev_slope,
-            circumference_stdev_override=self.circumference_stdev_override,
-            fixed_errors_enabled=self.fixed_errors_enabled,
-            random_errors_enabled=self.random_errors_enabled,
-        )
-
-    def trial_config(self) -> TrialConfig:
-        return TrialConfig(
-            radius=self.radius,
-            error_model=self.error_model(),
-            literal_rounding=self.literal_rounding,
-        )
-
-    def stopping_criteria(self) -> StoppingCriteria:
-        return StoppingCriteria(
-            min_peak_count=self.min_peak_count,
-            peak_dominance=self.peak_dominance,
-            min_consecutive_bins=self.min_consecutive_bins,
-            bin_threshold_fraction=self.bin_threshold_fraction,
-        )
 
 
 def parse_value(field: SchemaField, raw: str):
@@ -188,9 +169,9 @@ def serialize(cfg: RunConfig, result_keys_only: bool = False) -> str:
     the digest, so reports stay byte-identical wherever they are written.
     """
     lines = [
-        f"{field.name} = {_format_value(field, getattr(cfg, field.name))}"
-        for field in SCHEMA
-        if field.in_digest or not result_keys_only
+        f"{key.name} = {_format_value(key, key.read(cfg))}"
+        for key in SCHEMA
+        if key.in_digest or not result_keys_only
     ]
     return "\n".join(lines) + "\n"
 
@@ -204,13 +185,29 @@ def resolve(
     flag_values: Mapping | None = None,
     env_out_dir: str | None = None,
 ) -> RunConfig:
-    """Merge defaults, environment, config file, and flags into a RunConfig."""
-    merged = {field.name: field.default for field in SCHEMA}
-    if env_out_dir:
-        merged["out_dir"] = env_out_dir
+    """Merge defaults, environment, config file, and flags into a RunConfig.
+
+    Builds the trial and stopping objects, so a value they reject raises
+    :class:`ConfigError` here, whichever command the config is for.
+    """
+    merged: dict = {"out_dir": env_out_dir} if env_out_dir else {}
     for source in (file_values or {}), (flag_values or {}):
         for key, value in source.items():
             if key not in _BY_NAME:
                 raise ConfigError(f"unknown config key: {key}")
             merged[key] = value
-    return RunConfig(**merged)
+    try:
+        return _build(RunConfig, merged)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _build(cls, values: Mapping):
+    """An instance of ``cls`` taking its leaf fields from ``values`` where set."""
+    kwargs = {}
+    for f in fields(cls):
+        if is_dataclass(f.default_factory):
+            kwargs[f.name] = _build(f.default_factory, values)
+        elif f.name in values:
+            kwargs[f.name] = values[f.name]
+    return cls(**kwargs)

@@ -15,6 +15,11 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 
+# A double resolves a real to about 1 part in 2**53, and a convergent p/q is
+# within 1/q**2 of it, so a quotient giving q**2 above this is rounding noise.
+_FLOAT_RESOLUTION = 2**53
+
+
 @dataclass(frozen=True)
 class CFExpansion:
     """Quotient list plus whether the expansion terminated exactly."""
@@ -32,7 +37,10 @@ def cf_expand(
     quotients or once the fractional part drops below ``tolerance`` (or hits
     zero), in which case the expansion is exact. ``int`` and ``Fraction``
     inputs are expanded in exact arithmetic; floats expand the float value
-    itself, so feed a Fraction when exact round-trips matter.
+    itself, so feed a Fraction when exact round-trips matter. Without
+    ``max_terms`` a float expansion also stops, inexact, before a quotient
+    whose convergent denominator q has q**2 > 2**53: a double cannot
+    resolve it.
     """
     if x <= 0:
         raise ValueError("x must be > 0")
@@ -50,8 +58,12 @@ def cf_expand(
     quotients: list[int] = []
     value = float(x)
     exact = False
+    q_prev, q = 1, 0  # convergent denominators k(n-2), k(n-1)
     while max_terms is None or len(quotients) < max_terms:
         a = math.floor(value)
+        q_prev, q = q, a * q + q_prev
+        if max_terms is None and q * q > _FLOAT_RESOLUTION:
+            break  # a double cannot resolve this quotient
         quotients.append(int(a))
         remainder = value - a
         if remainder == 0.0 or remainder < tolerance:

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from sixradii import cli
 from sixradii.cli import main
 
 COMMON = ["--formats", "csv,json"]
@@ -43,10 +44,26 @@ def test_trial_zero_errors(capsys):
     assert payload["second_quotient"] == 5
 
 
-def test_trial_bad_radius_names_key(capsys):
-    code, _, err = run(capsys, "trial", "--seed", "1", "--radius", "-5")
+# cf and recip do not use the trial model, but a config it rejects still fails
+@pytest.mark.parametrize("argv", [["trial"], ["cf", "--value", "pi/3"], ["recip"]],
+                         ids=lambda argv: argv[0])
+def test_trial_bad_radius_names_key(argv, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    code, _, err = run(capsys, *argv, "--seed", "1", "--radius", "-5", "--out", str(out_dir))
     assert code == 2
     assert "radius" in err
+    assert not out_dir.exists()
+
+
+def test_internal_failure_exits_one(monkeypatch, tmp_path, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "fixed_budget_success", broken)
+    code, out, err = run(capsys, "budget", "--budget", "5", "--out", str(tmp_path), *COMMON)
+    assert code == 1
+    assert err == "internal error: boom\n"
+    assert out == ""
 
 
 def test_unknown_flag_exits_two():

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from sixradii.config import (
@@ -16,10 +18,10 @@ from sixradii.measurement import TrialConfig
 
 
 def test_defaults_build_default_domain_objects():
-    cfg = RunConfig()
-    assert cfg.error_model() == ErrorModel()
-    assert cfg.trial_config() == TrialConfig()
-    assert cfg.stopping_criteria() == StoppingCriteria()
+    cfg = resolve()
+    assert cfg.trial.error_model == ErrorModel()
+    assert cfg.trial == TrialConfig()
+    assert cfg.stopping == StoppingCriteria()
 
 
 def test_serialize_parse_roundtrip():
@@ -29,19 +31,19 @@ def test_serialize_parse_roundtrip():
 
 
 def test_roundtrip_with_modified_values():
-    cfg = RunConfig(
-        radius=222.5,
-        seed=99,
-        circumference_stdev_override=0.3538,
-        fixed_errors_enabled=False,
-        formats=("csv", "svg"),
-    )
+    cfg = resolve({
+        "radius": 222.5,
+        "seed": 99,
+        "circumference_stdev_override": 0.3538,
+        "fixed_errors_enabled": False,
+        "formats": ("csv", "svg"),
+    })
     assert resolve(parse_config_text(serialize(cfg))) == cfg
 
 
 def test_digest_is_stable_and_sensitive():
     assert digest(RunConfig()) == digest(RunConfig())
-    assert digest(RunConfig()) != digest(RunConfig(radius=451.0))
+    assert digest(RunConfig()) != digest(resolve({"radius": 451.0}))
 
 
 def test_unknown_key_is_named():
@@ -97,12 +99,14 @@ _SAMPLE_VALUES = {
 
 @pytest.mark.parametrize("field", SCHEMA, ids=lambda f: f.name)
 def test_precedence_flag_beats_file_beats_default(field):
-    file_value, flag_value = _SAMPLE_VALUES[field.kind]
-    assert getattr(resolve(), field.name) == field.default
+    # a fraction must lie in (0, 1), which the generic float samples do not
+    samples = (0.25, 0.5) if field.name == "bin_threshold_fraction" else _SAMPLE_VALUES[field.kind]
+    file_value, flag_value = samples
+    assert field.read(resolve()) == field.default
     from_file = resolve({field.name: file_value})
-    assert getattr(from_file, field.name) == file_value
+    assert field.read(from_file) == file_value
     from_flag = resolve({field.name: file_value}, {field.name: flag_value})
-    assert getattr(from_flag, field.name) == flag_value
+    assert field.read(from_flag) == flag_value
 
 
 def test_env_out_dir_is_weakest_override():
@@ -114,3 +118,83 @@ def test_env_out_dir_is_weakest_override():
 def test_resolve_rejects_unknown_key():
     with pytest.raises(ConfigError, match="mystery"):
         resolve({"mystery": 1.0})
+
+
+_EVERY_KEY_SET = {
+    "radius": 222.5,
+    "seed": 99,
+    "literal_rounding": True,
+    "wire_diameter": 0.6,
+    "bend_elongation_per_mm": 0.05,
+    "cut_elongation": 0.1,
+    "cut_match_stdev": 0.08,
+    "juxtaposition_span": 0.2,
+    "circumference_stdev_base": 0.04,
+    "circumference_stdev_slope": 1.5e-05,
+    "circumference_stdev_override": 0.3538,
+    "fixed_errors_enabled": False,
+    "random_errors_enabled": False,
+    "min_peak_count": 7,
+    "peak_dominance": 1.1,
+    "min_consecutive_bins": 4,
+    "bin_threshold_fraction": 0.25,
+    "out_dir": "reports",
+    "formats": ("csv", "json", "svg"),
+}
+
+
+@pytest.mark.parametrize("values, text, sha", [
+    ({}, (
+        "radius = 450.0\n"
+        "seed = 0\n"
+        "literal_rounding = false\n"
+        "wire_diameter = 0.5\n"
+        "bend_elongation_per_mm = 0.057\n"
+        "cut_elongation = 0.095\n"
+        "cut_match_stdev = 0.09\n"
+        "juxtaposition_span = 0.18\n"
+        "circumference_stdev_base = 0.05\n"
+        "circumference_stdev_slope = 0.000868\n"
+        "circumference_stdev_override = none\n"
+        "fixed_errors_enabled = true\n"
+        "random_errors_enabled = true\n"
+        "min_peak_count = 5\n"
+        "peak_dominance = 1.05\n"
+        "min_consecutive_bins = 5\n"
+        "bin_threshold_fraction = 0.2\n"
+        "out_dir = out\n"
+        "formats = csv,json\n"
+    ), "70366917d04d77186018fdf1300b92197ed28adf754938e4adbf8c8aedc3ce4a"),
+    (_EVERY_KEY_SET, (
+        "radius = 222.5\n"
+        "seed = 99\n"
+        "literal_rounding = true\n"
+        "wire_diameter = 0.6\n"
+        "bend_elongation_per_mm = 0.05\n"
+        "cut_elongation = 0.1\n"
+        "cut_match_stdev = 0.08\n"
+        "juxtaposition_span = 0.2\n"
+        "circumference_stdev_base = 0.04\n"
+        "circumference_stdev_slope = 1.5e-05\n"
+        "circumference_stdev_override = 0.3538\n"
+        "fixed_errors_enabled = false\n"
+        "random_errors_enabled = false\n"
+        "min_peak_count = 7\n"
+        "peak_dominance = 1.1\n"
+        "min_consecutive_bins = 4\n"
+        "bin_threshold_fraction = 0.25\n"
+        "out_dir = reports\n"
+        "formats = csv,json,svg\n"
+    ), "fb367a6d4704ef2704c776315da6d9ee1c450b64c6389695e9c070097fccd97f"),
+], ids=["defaults", "every-key-set"])
+def test_canonical_text_and_digest_are_pinned(values, text, sha):
+    cfg = resolve(values)
+    assert serialize(cfg) == text
+    assert digest(cfg) == sha
+
+
+def test_readme_lists_every_key_with_its_default():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("All keys with defaults:\n\n```\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0].rstrip() for line in block.splitlines()]
+    assert lines == serialize(RunConfig()).splitlines()
