@@ -16,7 +16,6 @@ from .config import (
     SCHEMA,
     ConfigError,
     RunConfig,
-    digest,
     load_config_file,
     parse_value,
     resolve,
@@ -48,9 +47,7 @@ EXIT_COST_CAP = 3
 
 
 def _flag_for(key: str) -> str:
-    if key == "out_dir":
-        return "--out"
-    return "--" + key.replace("_", "-")
+    return "--out" if key == "out_dir" else "--" + key.replace("_", "-")
 
 
 def _common_parser() -> argparse.ArgumentParser:
@@ -119,7 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cf", parents=[common],
                        help="continued-fraction expansion and convergent")
     p.add_argument("--value", required=True,
-                   help="pi, pi/3, a rational like 111/106, or a decimal")
+                   help="pi, pi/3, a rational like 111/106, or a decimal; the reported "
+                        "pi is 3 x the convergent, so it assumes the value approximates pi/3")
     p.add_argument("--terms", type=int, default=3)
     p.add_argument("--tolerance", type=float, default=0.0)
 
@@ -208,13 +206,7 @@ def cmd_trial(args: argparse.Namespace, cfg: RunConfig) -> Report:
 
 
 def cmd_campaign(args: argparse.Namespace, cfg: RunConfig) -> Report:
-    result = run_campaign(
-        rng_new(cfg.seed),
-        cfg.trial,
-        cfg.stopping,
-        args.max_measurements,
-        config_digest=digest(cfg),
-    )
+    result = run_campaign(rng_new(cfg.seed), cfg.trial, cfg.stopping, args.max_measurements)
     selected = result.selected if result.selected is not None else "none"
     return Report(
         f"selected={selected} measurements={result.measurements} "
@@ -346,15 +338,12 @@ def _parse_cf_value(text: str) -> float | Fraction:
         return math.pi
     if lowered == "pi/3":
         return math.pi / 3.0
-    if "/" in lowered:
-        num, _, den = lowered.partition("/")
-        try:
-            return Fraction(int(num), int(den))
-        except (ValueError, ZeroDivisionError):
-            raise ConfigError(f"invalid value for --value: {text!r}") from None
     try:
+        if "/" in lowered:
+            num, _, den = lowered.partition("/")
+            return Fraction(int(num), int(den))
         return float(lowered)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise ConfigError(f"invalid value for --value: {text!r}") from None
 
 

@@ -11,6 +11,7 @@ a configuration in provenance records.
 from __future__ import annotations
 
 import hashlib
+import os
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Mapping, NamedTuple
 
@@ -43,16 +44,18 @@ def _leaves(cls, path: tuple[str, ...] = ()):
 
 
 _LEAVES = {path[-1]: (path, f) for path, f in _leaves(RunConfig)}
-# Config value kind of each annotation a key's field carries.
-_KINDS = {"float": "float", "int": "int", "bool": "bool", "float | None": "optional_float",
-          "str": "str", "tuple[str, ...]": "formats"}
+# Value kind of each field annotation, and the Python types resolve accepts per
+# kind; bool is an int subclass, so resolve gives a bool to bool keys only.
+_KINDS = {t: t for t in ("float", "int", "bool", "str")} | {"tuple[str, ...]": "formats"}
+_TYPES = {"float": (int, float), "int": int, "bool": bool, "str": (str, os.PathLike),
+          "formats": tuple}
 
 
 class SchemaField(NamedTuple):
     """One config key; its kind and default come from the field that owns it."""
 
     name: str
-    kind: str  # float | int | bool | optional_float | str | formats
+    kind: str  # float | int | bool | str | formats
     default: object
     help: str
     in_digest: bool  # False for keys that cannot affect results
@@ -81,8 +84,6 @@ SCHEMA: tuple[SchemaField, ...] = (
     _key("juxtaposition_span", "width of the uniform juxtaposition error, mm"),
     _key("circumference_stdev_base", "groove-placement stdev intercept, mm"),
     _key("circumference_stdev_slope", "groove-placement stdev slope, mm per mm radius"),
-    _key("circumference_stdev_override",
-         "stdev pinned at radius 450 (set 0.3538 for the recorded constant); 'none' uses the fitted line"),
     _key("fixed_errors_enabled", "apply systematic error terms"),
     _key("random_errors_enabled", "apply random error terms"),
     _key("min_peak_count", "minimum counts in the peak bin"),
@@ -111,8 +112,6 @@ def parse_value(field: SchemaField, raw: str):
             if lowered in ("false", "0", "no", "off"):
                 return False
             raise ValueError
-        if field.kind == "optional_float":
-            return None if text.lower() == "none" else float(text)
         if field.kind == "formats":
             parts = tuple(p.strip() for p in text.split(",") if p.strip())
             bad = [p for p in parts if p not in _VALID_FORMATS]
@@ -127,8 +126,6 @@ def parse_value(field: SchemaField, raw: str):
 def _format_value(field: SchemaField, value) -> str:
     if field.kind == "bool":
         return "true" if value else "false"
-    if field.kind == "optional_float":
-        return "none" if value is None else repr(float(value))
     if field.kind == "float":
         return repr(float(value))
     if field.kind == "formats":
@@ -187,14 +184,17 @@ def resolve(
 ) -> RunConfig:
     """Merge defaults, environment, config file, and flags into a RunConfig.
 
-    Builds the trial and stopping objects, so a value they reject raises
-    :class:`ConfigError` here, whichever command the config is for.
+    A value of the wrong type, or one the trial and stopping objects reject,
+    raises :class:`ConfigError` here, whichever command the config is for.
     """
     merged: dict = {"out_dir": env_out_dir} if env_out_dir else {}
     for source in (file_values or {}), (flag_values or {}):
         for key, value in source.items():
             if key not in _BY_NAME:
                 raise ConfigError(f"unknown config key: {key}")
+            kind = _BY_NAME[key].kind
+            if not isinstance(value, _TYPES[kind]) or isinstance(value, bool) != (kind == "bool"):
+                raise ConfigError(f"invalid value for {key}: {value!r}")
             merged[key] = value
     try:
         return _build(RunConfig, merged)

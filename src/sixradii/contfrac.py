@@ -15,8 +15,8 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 
-# A double resolves a real to about 1 part in 2**53, and a convergent p/q is
-# within 1/q**2 of it, so a quotient giving q**2 above this is rounding noise.
+# A double resolves a real x only to about x / 2**53, and a convergent p/q is
+# within 1/q**2 of it, so a quotient giving q**2 * x above this is rounding noise.
 _FLOAT_RESOLUTION = 2**53
 
 
@@ -37,10 +37,10 @@ def cf_expand(
     quotients or once the fractional part drops below ``tolerance`` (or hits
     zero), in which case the expansion is exact. ``int`` and ``Fraction``
     inputs are expanded in exact arithmetic; floats expand the float value
-    itself, so feed a Fraction when exact round-trips matter. Without
-    ``max_terms`` a float expansion also stops, inexact, before a quotient
-    whose convergent denominator q has q**2 > 2**53: a double cannot
-    resolve it.
+    itself, so feed a Fraction when exact round-trips matter. A float
+    expansion also stops, inexact, before a quotient whose convergent
+    denominator q has q**2 > 2**53 / x, past what a double resolves, whatever
+    ``max_terms`` is; quotients up to the first nonzero one are always kept.
     """
     if x <= 0:
         raise ValueError("x must be > 0")
@@ -58,11 +58,12 @@ def cf_expand(
     quotients: list[int] = []
     value = float(x)
     exact = False
+    q_limit = _FLOAT_RESOLUTION / value  # largest resolvable q**2
     q_prev, q = 1, 0  # convergent denominators k(n-2), k(n-1)
     while max_terms is None or len(quotients) < max_terms:
         a = math.floor(value)
         q_prev, q = q, a * q + q_prev
-        if max_terms is None and q * q > _FLOAT_RESOLUTION:
+        if any(quotients) and q * q > q_limit:
             break  # a double cannot resolve this quotient
         quotients.append(int(a))
         remainder = value - a

@@ -12,6 +12,9 @@ the 0.095 mm protrusion enters the arithmetic. Cross-section distortion of
 the bent wire, a systematic error of the groove itself, and the error of
 marking 6R on the wire were assessed and found to have no measurable effect
 at the flip threshold (0.0 mm each).
+
+The groove-placement stdev is the fitted line at every radius: the recorded
+0.3538 mm is that line's value at radius 350, not a constant for radius 450.
 """
 
 from __future__ import annotations
@@ -21,13 +24,6 @@ from dataclasses import dataclass
 
 # Fractional circumference error that flips the second iteration from 5 to 4.
 FLIP_ERROR_FRACTION = 3e-5
-
-# The groove-placement stdev fit is base + slope * radius. A separately
-# recorded constant (0.3538, which the fit yields at radius 350) can be pinned
-# at radius 450 via circumference_stdev_override; with it active, the headline
-# success rate drops well below the reproduction band, so the fitted line is
-# the default everywhere.
-OVERRIDE_RADIUS = 450.0
 
 
 @dataclass(frozen=True)
@@ -45,7 +41,6 @@ class ErrorModel:
     juxtaposition_span: float = 0.18
     circumference_stdev_base: float = 0.05
     circumference_stdev_slope: float = 8.68e-4
-    circumference_stdev_override: float | None = None
     fixed_errors_enabled: bool = True
     random_errors_enabled: bool = True
 
@@ -62,8 +57,6 @@ class ErrorModel:
         ):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        if self.circumference_stdev_override is not None and self.circumference_stdev_override < 0:
-            raise ValueError("circumference_stdev_override must be >= 0")
 
     def bend_elongation(self) -> float:
         """Straightened-length excess of a wire cut to fit the full circle.
@@ -89,17 +82,11 @@ class ErrorModel:
         return self.juxtaposition_span if self.random_errors_enabled else 0.0
 
     def circumference_stdev(self, radius: float) -> float:
-        """Stdev of laying the wire into the circular groove at this radius.
-
-        The override, when set, applies only at radius 450 (the measured
-        headline value); every other radius uses the fitted line.
-        """
+        """Stdev of laying the wire into the circular groove at this radius."""
         if radius <= 0:
             raise ValueError("radius must be > 0")
         if not self.random_errors_enabled:
             return 0.0
-        if self.circumference_stdev_override is not None and radius == OVERRIDE_RADIUS:
-            return self.circumference_stdev_override
         return self.circumference_stdev_base + self.circumference_stdev_slope * radius
 
 

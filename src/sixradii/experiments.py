@@ -154,15 +154,6 @@ def run_campaign_batch(
     return [outcome for chunk in chunks for outcome in chunk]
 
 
-def run_fixed_budget_batch(
-    cfg: TrialConfig, budget: int, n_campaigns: int, seed: int, workers: int = 1
-) -> list[CampaignOutcome]:
-    """n campaigns that each record exactly ``budget`` measurements, no stopping rule."""
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    return run_campaign_batch(cfg, None, n_campaigns, seed, budget, workers)
-
-
 def summarize_success(outcomes: Sequence[CampaignOutcome]) -> SuccessStats:
     """Success = selected value 5; no-decision campaigns count as failures."""
     n = len(outcomes)
@@ -175,23 +166,13 @@ def summarize_success(outcomes: Sequence[CampaignOutcome]) -> SuccessStats:
     return SuccessStats(fraction, mean_measurements, no_decision, half_width, n)
 
 
-def success_probability(
-    cfg: TrialConfig,
-    criteria: StoppingCriteria,
-    n_campaigns: int,
-    seed: int,
-    max_measurements: int = 10_000,
-    workers: int = 1,
-) -> SuccessStats:
-    outcomes = run_campaign_batch(cfg, criteria, n_campaigns, seed, max_measurements, workers)
-    return summarize_success(outcomes)
-
-
 def fixed_budget_success(
     cfg: TrialConfig, budget: int, n_campaigns: int, seed: int, workers: int = 1
 ) -> SuccessStats:
-    outcomes = run_fixed_budget_batch(cfg, budget, n_campaigns, seed, workers)
-    return summarize_success(outcomes)
+    """Success over n campaigns that each record exactly ``budget`` measurements."""
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    return summarize_success(run_campaign_batch(cfg, None, n_campaigns, seed, budget, workers))
 
 
 def ablation_distribution(
@@ -219,12 +200,6 @@ def ablation_distribution(
     return {q: counter[q] / kept for q in sorted(counter)}
 
 
-def _fitted_line_only(cfg_template: TrialConfig | None) -> TrialConfig:
-    """The template (or the default setup) with the radius-450 override disabled."""
-    cfg = cfg_template if cfg_template is not None else TrialConfig()
-    return replace(cfg, error_model=replace(cfg.error_model, circumference_stdev_override=None))
-
-
 def _radius_sweep_worker(task) -> RadiusSweepPoint:
     key, radius_index, radius, trials, cfg = task
     cfg_r = replace(cfg, radius=radius)
@@ -241,23 +216,18 @@ def _radius_sweep_worker(task) -> RadiusSweepPoint:
 def radius_first_iteration_sweep(
     radii: Sequence[float],
     trials_per_radius: int,
-    cfg_template: TrialConfig | None = None,
+    cfg_template: TrialConfig = TrialConfig(),
     seed: int = 0,
     workers: int = 1,
 ) -> list[RadiusSweepPoint]:
-    """Fraction of trials whose first iteration yields 21, per radius.
-
-    Always uses the fitted stdev line (the radius-450 override is disabled)
-    so the radius axis is consistent.
-    """
+    """Fraction of trials whose first iteration yields 21, per radius."""
     if not radii:
         raise ValueError("radii must be non-empty")
     if trials_per_radius < 1:
         raise ValueError("trials_per_radius must be >= 1")
-    cfg = _fitted_line_only(cfg_template)
     root = rng_new(seed)
     tasks = [
-        (root.key, i, float(radius), trials_per_radius, cfg)
+        (root.key, i, float(radius), trials_per_radius, cfg_template)
         for i, radius in enumerate(radii)
     ]
     return _run_tasks(_radius_sweep_worker, tasks, workers)
@@ -271,13 +241,12 @@ def _grid_cell_worker(task) -> GridCell:
 
 
 def radius_budget_grid(
-    spec: SweepSpec, cfg_template: TrialConfig | None = None, workers: int = 1
+    spec: SweepSpec, cfg_template: TrialConfig = TrialConfig(), workers: int = 1
 ) -> list[GridCell]:
     """Fixed-budget success fraction per (radius, budget) cell.
 
     Cell k runs :func:`fixed_budget_success` with seed ``derive_seed(base, k)``,
-    so a single-cell grid reduces to that call exactly. The override is
-    disabled for the same reason as in the radius sweep. Raises
+    so a single-cell grid reduces to that call exactly. Raises
     :class:`CostCapError` if cells x campaigns exceeds the cap.
     """
     cells = [(r, b) for r in spec.radii for b in spec.budgets]
@@ -286,9 +255,9 @@ def radius_budget_grid(
             f"{len(cells)} cells x {spec.campaigns_per_cell} campaigns exceeds "
             f"cost cap {spec.cost_cap}"
         )
-    cfg = _fitted_line_only(cfg_template)
     tasks = [
-        (float(radius), int(budget), spec.campaigns_per_cell, derive_seed(spec.base_seed, k), cfg)
+        (float(radius), int(budget), spec.campaigns_per_cell, derive_seed(spec.base_seed, k),
+         cfg_template)
         for k, (radius, budget) in enumerate(cells)
     ]
     return _run_tasks(_grid_cell_worker, tasks, workers)

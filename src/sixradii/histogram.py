@@ -165,7 +165,6 @@ class CampaignResult:
     discarded: int
     histogram: Histogram
     stream_key: tuple[int, ...]
-    config_digest: str
 
     @property
     def stopped(self) -> bool:
@@ -177,7 +176,6 @@ def run_campaign(
     cfg: TrialConfig,
     criteria: StoppingCriteria | None,
     max_measurements: int = 10_000,
-    config_digest: str = "",
 ) -> CampaignResult:
     """Measure repeatedly until the stopping rule selects a peak.
 
@@ -220,5 +218,4 @@ def run_campaign(
         discarded=discarded,
         histogram=hist,
         stream_key=rng.key,
-        config_digest=config_digest,
     )

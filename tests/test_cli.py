@@ -73,8 +73,9 @@ def test_unknown_flag_exits_two():
 
 
 def test_unknown_config_key_exits_two(tmp_path, capsys):
-    # a measured but unmodelled quantity (see errors.py) is not a key either
-    for key in ("not_a_key", "cut_shortening_short_side"):
+    # a measured but unmodelled quantity is not a key either, nor is a stdev
+    # pinned at one radius (errors.py says why the fitted line needs none)
+    for key in ("not_a_key", "cut_shortening_short_side", "circumference_stdev_override"):
         config = tmp_path / "run.cfg"
         config.write_text(f"{key} = 3\n")
         code, _, err = run(capsys, "trial", "--config", str(config))
@@ -209,6 +210,14 @@ def test_cf_rational_value(capsys, tmp_path):
     )
     assert code == 0
     assert "convergent=355/113" in out
+
+
+def test_cf_small_float_value(capsys, tmp_path):
+    code, out, _ = run(
+        capsys, "cf", "--value", "0.00000001", "--out", str(tmp_path), *COMMON,
+    )
+    assert code == 0
+    assert out.startswith("quotients=[0,100000000] convergent=1/100000000 ")
 
 
 def test_cf_bad_value(capsys, tmp_path):

@@ -34,7 +34,6 @@ def test_roundtrip_with_modified_values():
     cfg = resolve({
         "radius": 222.5,
         "seed": 99,
-        "circumference_stdev_override": 0.3538,
         "fixed_errors_enabled": False,
         "formats": ("csv", "svg"),
     })
@@ -59,6 +58,14 @@ def test_duplicate_key_rejected():
 def test_bad_value_names_key():
     with pytest.raises(ConfigError, match="radius"):
         parse_config_text("radius = abc\n")
+    # a library caller's value of the wrong type is a config error too
+    with pytest.raises(ConfigError, match="radius"):
+        resolve({"radius": "abc"})
+    # bool is an int subclass, but only a bool key takes one
+    for key in ("radius", "seed"):
+        with pytest.raises(ConfigError, match=key):
+            resolve({key: True})
+    assert resolve({"out_dir": Path("reports")}).out_dir == Path("reports")
 
 
 def test_comments_and_blank_lines_ignored():
@@ -69,11 +76,6 @@ def test_comments_and_blank_lines_ignored():
 def test_malformed_line_rejected():
     with pytest.raises(ConfigError, match="key = value"):
         parse_config_text("radius 300\n")
-
-
-def test_optional_float_none():
-    values = parse_config_text("circumference_stdev_override = none\n")
-    assert values == {"circumference_stdev_override": None}
 
 
 def test_bool_and_formats_parsing():
@@ -91,7 +93,6 @@ _SAMPLE_VALUES = {
     "float": (1.25, 2.5),
     "int": (7, 9),
     "bool": (True, False),
-    "optional_float": (0.2, None),
     "str": ("dir_a", "dir_b"),
     "formats": (("csv",), ("csv", "json", "svg")),
 }
@@ -131,7 +132,6 @@ _EVERY_KEY_SET = {
     "juxtaposition_span": 0.2,
     "circumference_stdev_base": 0.04,
     "circumference_stdev_slope": 1.5e-05,
-    "circumference_stdev_override": 0.3538,
     "fixed_errors_enabled": False,
     "random_errors_enabled": False,
     "min_peak_count": 7,
@@ -155,7 +155,6 @@ _EVERY_KEY_SET = {
         "juxtaposition_span = 0.18\n"
         "circumference_stdev_base = 0.05\n"
         "circumference_stdev_slope = 0.000868\n"
-        "circumference_stdev_override = none\n"
         "fixed_errors_enabled = true\n"
         "random_errors_enabled = true\n"
         "min_peak_count = 5\n"
@@ -164,7 +163,7 @@ _EVERY_KEY_SET = {
         "bin_threshold_fraction = 0.2\n"
         "out_dir = out\n"
         "formats = csv,json\n"
-    ), "70366917d04d77186018fdf1300b92197ed28adf754938e4adbf8c8aedc3ce4a"),
+    ), "7baa4005a6eefadc1af7ed95a187363d5dd1104cffdef5c2bb8aeb8dc327e797"),
     (_EVERY_KEY_SET, (
         "radius = 222.5\n"
         "seed = 99\n"
@@ -176,7 +175,6 @@ _EVERY_KEY_SET = {
         "juxtaposition_span = 0.2\n"
         "circumference_stdev_base = 0.04\n"
         "circumference_stdev_slope = 1.5e-05\n"
-        "circumference_stdev_override = 0.3538\n"
         "fixed_errors_enabled = false\n"
         "random_errors_enabled = false\n"
         "min_peak_count = 7\n"
@@ -185,7 +183,7 @@ _EVERY_KEY_SET = {
         "bin_threshold_fraction = 0.25\n"
         "out_dir = reports\n"
         "formats = csv,json,svg\n"
-    ), "fb367a6d4704ef2704c776315da6d9ee1c450b64c6389695e9c070097fccd97f"),
+    ), "c4004c33c9fc06e4922ab512d36d38f6814a81061263b20a1063d0ca204b871d"),
 ], ids=["defaults", "every-key-set"])
 def test_canonical_text_and_digest_are_pinned(values, text, sha):
     cfg = resolve(values)

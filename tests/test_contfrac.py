@@ -42,6 +42,8 @@ def test_pi_over_three_expansion():
         assert expansion == cf_expand(x, len(expansion.quotients))
         assert convergent(expansion.quotients).denominator ** 2 <= 2**53
     assert cf_expand(math.pi / 3).quotients[:5] == (1, 21, 5, 3, 97)
+    # an explicit max_terms past the resolution limit does not expand noise
+    assert cf_expand(math.pi / 3, 60) == cf_expand(math.pi / 3)
 
 
 def test_integer_input_is_exact():
@@ -52,6 +54,15 @@ def test_integer_input_is_exact():
 
 def test_hand_checkable_rational():
     assert cf_expand(2.75, 3).quotients == (2, 1, 3)
+
+
+def test_small_float_keeps_resolvable_quotients():
+    # the resolution limit scales with x: a double resolves 1e-8 to ~1e-24
+    assert cf_expand(1e-8, 3) == cf_expand(1e-8) == CFExpansion((0, 100000000), True)
+    assert cf_expand(1e-4, 3).quotients == (0, 10000)
+    # below ~1e-16 the second quotient is past resolution but is still kept,
+    # so the convergent stays positive
+    assert convergent(cf_expand(3e-17, 3).quotients) > 0
 
 
 def test_exact_fraction_expansion():

@@ -22,12 +22,6 @@ def test_circumference_stdev_line():
     model = ErrorModel()
     assert model.circumference_stdev(350.0) == pytest.approx(0.3538, abs=1e-12)
     assert model.circumference_stdev(450.0) == pytest.approx(0.4406, abs=1e-12)
-
-
-def test_circumference_stdev_override_only_at_450():
-    model = ErrorModel(circumference_stdev_override=0.3538)
-    assert model.circumference_stdev(450.0) == 0.3538
-    assert model.circumference_stdev(350.0) == pytest.approx(0.3538, abs=1e-12)
     assert model.circumference_stdev(500.0) == pytest.approx(0.05 + 8.68e-4 * 500)
 
 
@@ -61,8 +55,6 @@ def test_validation_rejects_bad_values():
         ErrorModel(wire_diameter=0.0)
     with pytest.raises(ValueError):
         ErrorModel(cut_match_stdev=-0.01)
-    with pytest.raises(ValueError):
-        ErrorModel(circumference_stdev_override=-0.1)
 
 
 def test_flip_threshold_values():

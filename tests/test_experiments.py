@@ -13,8 +13,6 @@ from sixradii.experiments import (
     radius_budget_grid,
     radius_first_iteration_sweep,
     run_campaign_batch,
-    run_fixed_budget_batch,
-    success_probability,
     summarize_success,
 )
 from sixradii.histogram import StoppingCriteria
@@ -72,8 +70,8 @@ def test_campaign_batch_parallel_matches_serial():
 
 def test_fixed_budget_batch_parallel_matches_serial():
     cfg = TrialConfig()
-    serial = run_fixed_budget_batch(cfg, 30, 12, 5, workers=1)
-    parallel = run_fixed_budget_batch(cfg, 30, 12, 5, workers=3)
+    serial = run_campaign_batch(cfg, None, 12, 5, 30, workers=1)
+    parallel = run_campaign_batch(cfg, None, 12, 5, 30, workers=3)
     assert serial == parallel
 
 
@@ -102,13 +100,6 @@ def test_radius_sweep_fraction_grows_with_radius():
     fractions = [p.fraction_first_21 for p in points]
     assert fractions[0] < fractions[2]
     assert fractions[2] > 0.9
-
-
-def test_radius_sweep_ignores_override():
-    override = TrialConfig(error_model=ErrorModel(circumference_stdev_override=0.0))
-    with_override = radius_first_iteration_sweep((450.0,), 600, override, 4)
-    plain = radius_first_iteration_sweep((450.0,), 600, TrialConfig(), 4)
-    assert with_override == plain
 
 
 def test_sweep_validation():
@@ -146,16 +137,8 @@ def test_sweep_spec_validation():
 
 
 def test_success_stats_ci_width():
-    outcomes = run_fixed_budget_batch(TrialConfig(), 20, 50, 3)
+    outcomes = run_campaign_batch(TrialConfig(), None, 50, 3, 20)
     stats = summarize_success(outcomes)
     p = stats.success_fraction
     assert stats.ci_half_width == pytest.approx(1.96 * math.sqrt(p * (1 - p) / 50))
     assert 0.0 <= p <= 1.0
-
-
-def test_success_probability_summarizes_batch():
-    criteria = StoppingCriteria()
-    stats = success_probability(TrialConfig(), criteria, 8, 5, max_measurements=150)
-    outcomes = run_campaign_batch(TrialConfig(), criteria, 8, 5, max_measurements=150)
-    assert stats == summarize_success(outcomes)
-    assert stats.n_campaigns == 8

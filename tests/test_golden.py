@@ -5,7 +5,9 @@ pins the SHA-256 of its stdout, of every CSV and SVG it writes, and of the
 ``parameters`` and ``results`` of every JSON it writes. The JSON ``config`` and
 ``config_digest`` are left out on purpose: they change whenever a config key
 is added or removed, while the numbers must not. A refactor that claims to
-leave reports unchanged must keep every digest here as it is.
+leave reports unchanged must keep every digest here as it is. The commands
+that fan out over worker processes are also run with two workers against the
+same digests.
 """
 
 import hashlib
@@ -88,9 +90,10 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def report_digests(argv, out_dir, capsys) -> dict:
+def report_digests(argv, out_dir, capsys, threads=1) -> dict:
     """SHA-256 of each pinned part of one command's output, keyed by part name."""
-    code = main([*argv, "--threads", "1", "--formats", "csv,json,svg", "--out", str(out_dir)])
+    code = main([*argv, "--threads", str(threads), "--formats", "csv,json,svg",
+                 "--out", str(out_dir)])
     stdout = capsys.readouterr().out
     assert code == 0
     digests = {"stdout": _sha(stdout.encode("utf-8"))}
@@ -106,3 +109,8 @@ def report_digests(argv, out_dir, capsys) -> dict:
 @pytest.mark.parametrize("case", sorted(_CASES))
 def test_report_bytes_match_golden(case, tmp_path, capsys):
     assert report_digests(_CASES[case], tmp_path, capsys) == _GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", ["budget", "grid", "success", "sweep-radius"])
+def test_report_bytes_independent_of_threads(case, tmp_path, capsys):
+    assert report_digests(_CASES[case], tmp_path, capsys, threads=2) == _GOLDEN[case]

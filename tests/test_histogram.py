@@ -159,9 +159,8 @@ def test_zero_error_campaign_never_stops():
 
 
 def test_campaign_records_stream_key_and_digest():
-    result = run_campaign(rng_new(9), TrialConfig(), StoppingCriteria(), 200, config_digest="abc")
+    result = run_campaign(rng_new(9), TrialConfig(), StoppingCriteria(), 200)
     assert result.stream_key == (9,)
-    assert result.config_digest == "abc"
 
 
 def test_campaign_requires_positive_budget():

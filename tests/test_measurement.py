@@ -52,10 +52,9 @@ def test_circumference_piece_fixed_only():
 
 
 def test_circumference_piece_spread_matches_variance_addition():
-    # independent normal terms: stdev = sqrt(circ^2 + cut^2); pin the recorded
-    # radius-450 constant so the expected value matches the documented setup
-    model = ErrorModel(circumference_stdev_override=0.3538)
-    cfg = TrialConfig(radius=450.0, error_model=model)
+    # independent normal terms: stdev = sqrt(circ^2 + cut^2); at radius 350 the
+    # fitted groove line gives the recorded 0.3538
+    cfg = TrialConfig(radius=350.0)
     root = rng_new(77)
     draws = [
         sample_circumference_piece(derive_child(root, i), cfg) for i in range(100_000)
