@@ -380,14 +380,7 @@ def cmd_recip(args: argparse.Namespace, cfg: RunConfig) -> Report:
     return Report(
         f"points={len(points)} first_peak={points[0].peak_location:.4f} "
         f"last_peak={points[-1].peak_location:.4f}",
-        {
-            "numerator_mean": study.numerator_mean,
-            "numerator_stdev": study.numerator_stdev,
-            "denominator_mean": study.denominator_mean,
-            "denominator_stdevs": list(study.denominator_stdevs),
-            "samples_per_point": study.samples_per_point,
-            "bin_width": study.bin_width,
-        },
+        asdict(study),
         {"points": [[p.denominator_stdev, p.peak_location, p.central_mean] for p in points]},
         {"recip": (("denominator_stdev", "peak_location", "central_mean"), points)},
     )

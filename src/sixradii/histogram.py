@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .measurement import DegenerateConfigError, TrialConfig, simulate_trial
+from .measurement import WINDOW_HI, DegenerateConfigError, TrialConfig, simulate_trial
 from .stochastics import RngState, derive_child
 
 _CAMPAIGN_TRIAL_LIMIT = 1_000_000
@@ -21,7 +21,7 @@ class Histogram:
 
     __slots__ = ("lo", "hi", "counts", "underflow", "overflow")
 
-    def __init__(self, lo: int = 1, hi: int = 16):
+    def __init__(self, lo: int = 1, hi: int = WINDOW_HI):
         if lo > hi:
             raise ValueError("window lo must be <= hi")
         self.lo = lo

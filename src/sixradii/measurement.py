@@ -20,10 +20,11 @@ from .stochastics import RngState, normal_block, sample_normal, sample_uniform, 
 
 _RUNAWAY_LIMIT = 1_000_000
 _BLOCK = 64
+WINDOW_HI = 16  # top bin of the second-count histogram; every count above it is overflow
 
 
 class DegenerateConfigError(RuntimeError):
-    """An accumulation failed to terminate within the runaway guard."""
+    """Raised by the piece check, the first-iteration guard and the campaign trial limit."""
 
 
 @dataclass(frozen=True)
@@ -91,14 +92,16 @@ def sample_circumference_piece(rng: RngState, cfg: TrialConfig) -> float:
 
 
 def accumulate_until_exceeds(
-    rng: RngState, cfg: TrialConfig, piece_ref: float, target: float
+    rng: RngState, cfg: TrialConfig, piece_ref: float, target: float,
+    max_pieces: int = _RUNAWAY_LIMIT,
 ) -> AccumulationResult:
     """Lay copies of a reference piece end to end until the total passes target.
 
     The first piece is the reference itself; every further piece is cut to
     match (normal error) and juxtaposed against the previous one (uniform
     shrinkage). Stops strictly after the total exceeds the target and also
-    reports the total before the crossing piece was laid.
+    reports the total before the crossing piece was laid. Pieces come in blocks
+    of 64; with no crossing once ``max_pieces`` are laid it returns ``total <= target``.
     """
     if piece_ref <= 0:
         raise ValueError("piece_ref must be > 0")
@@ -120,11 +123,8 @@ def accumulate_until_exceeds(
             return AccumulationResult(count + k + 1, before, float(totals[k]))
         running = float(totals[-1])
         count += _BLOCK
-        if count > _RUNAWAY_LIMIT:
-            raise DegenerateConfigError(
-                f"accumulation used more than {_RUNAWAY_LIMIT} pieces "
-                f"(piece_ref={piece_ref}, target={target})"
-            )
+        if count >= max_pieces:
+            return AccumulationResult(count, float(totals[-2]), running)
 
 
 def first_iteration(
@@ -135,12 +135,15 @@ def first_iteration(
     The quotient is one less than the number of pieces needed to pass the
     mark. The leftover piece is the gap left by the counted pieces, plus the
     juxtaposition gap opened when cutting at the mark, cut-to-match noise,
-    and one bevel protrusion.
+    and one bevel protrusion. A mark never passed raises DegenerateConfigError.
     """
     if c_minus_six_r <= 0:
         raise ValueError("c_minus_six_r must be > 0")
     em = cfg.error_model
-    acc = accumulate_until_exceeds(rng, cfg, c_minus_six_r, cfg.six_r)
+    acc = accumulate_until_exceeds(rng, cfg, c_minus_six_r, cfg.six_r, _RUNAWAY_LIMIT)
+    if acc.total <= cfg.six_r:
+        raise DegenerateConfigError(f"accumulation used more than {_RUNAWAY_LIMIT} pieces "
+                                    f"(piece_ref={c_minus_six_r}, target={cfg.six_r})")
     quotient = acc.pieces_used - 1
     remainder = cfg.six_r - acc.total_before_last
     remainder += sample_uniform(rng, 0.0, em.juxtaposition_span_effective())
@@ -177,12 +180,19 @@ def round_count(
 def second_iteration(
     rng: RngState, cfg: TrialConfig, c_minus_six_r: float, remainder_piece: float
 ) -> int:
-    """Count leftover-piece copies against the (C - 6R) mark, rounded."""
+    """Count leftover-piece copies against the (C - 6R) mark, rounded.
+
+    Counts up to ``WINDOW_HI`` are exact; any larger count, or a mark never
+    passed, stops early and reads ``WINDOW_HI + 1``.
+    """
     if c_minus_six_r <= 0:
         raise ValueError("c_minus_six_r must be > 0")
     if remainder_piece <= 0:
         raise ValueError("remainder_piece must be > 0")
-    acc = accumulate_until_exceeds(rng, cfg, remainder_piece, c_minus_six_r)
+    past_window = WINDOW_HI + 1
+    acc = accumulate_until_exceeds(rng, cfg, remainder_piece, c_minus_six_r, past_window)
+    if acc.total <= c_minus_six_r or acc.pieces_used > past_window:
+        return past_window
     overshoot = acc.total - c_minus_six_r
     last_piece = acc.total - acc.total_before_last
     return round_count(acc.pieces_used, overshoot, last_piece, literal=cfg.literal_rounding)
@@ -195,10 +205,10 @@ def simulate_trial(rng: RngState, cfg: TrialConfig) -> TrialResult:
     enters a histogram) but its second iteration is still evaluated for
     diagnostics. Boundary trials can leave a leftover piece longer than the
     (C - 6R) mark (the count is then read from the one piece that already
-    passes it), not positive at all (recorded as 0), or so short that its own
-    juxtaposition losses outweigh it and the accumulation cannot reach the
-    mark; that reads as an enormous count, recorded as the runaway limit,
-    which lands in histogram overflow.
+    passes it), not positive at all (recorded as 0), or so short that its
+    own juxtaposition losses outweigh it, which reads as a count past the
+    window, ``WINDOW_HI + 1``. Only a piece outside (0, 6R) or a first
+    iteration that never passes the mark raises DegenerateConfigError.
     """
     c_piece = sample_circumference_piece(rng, cfg)
     quotient, remainder = first_iteration(rng, cfg, c_piece)
@@ -207,10 +217,7 @@ def simulate_trial(rng: RngState, cfg: TrialConfig) -> TrialResult:
     elif remainder >= c_piece:
         second = round_count(1, remainder - c_piece, remainder, literal=cfg.literal_rounding)
     else:
-        try:
-            second = second_iteration(rng, cfg, c_piece, remainder)
-        except DegenerateConfigError:
-            second = _RUNAWAY_LIMIT
+        second = second_iteration(rng, cfg, c_piece, remainder)
     return TrialResult(
         first_quotient=quotient,
         second_quotient=second,

@@ -150,24 +150,35 @@ def reciprocal_peak_curve(
     r0 = cfg.numerator_mean / cfg.denominator_mean
     w = cfg.bin_width
     half_bins = int(np.ceil(5.0 * abs(r0) / w))
+    # Two chunk buffers serve every grid point: the numerators (later the bin
+    # offsets) and the denominators (later the deviations ratio - r0).
+    size = min(cfg.samples_per_point, _STUDY_CHUNK)
+    num_buf, den_buf = np.empty(size), np.empty(size)
     points: list[ReciprocalPoint] = []
     for j, stdev in enumerate(cfg.denominator_stdevs):
-        stream = derive_child(rng, j)
+        generator = derive_child(rng, j).generator
         counts = np.zeros(2 * half_bins + 1, dtype=np.int64)
         deviation_sum = 0.0
         in_window = 0
         remaining = cfg.samples_per_point
         while remaining > 0:
             n = min(remaining, _STUDY_CHUNK)
-            numerators = stream.generator.normal(cfg.numerator_mean, cfg.numerator_stdev, n)
-            denominators = stream.generator.normal(cfg.denominator_mean, stdev, n)
+            # standard_normal * stdev + mean is bit for bit normal(mean, stdev)
+            numerators, denominators = num_buf[:n], den_buf[:n]
+            generator.standard_normal(out=numerators)
+            numerators *= cfg.numerator_stdev
+            numerators += cfg.numerator_mean
+            generator.standard_normal(out=denominators)
+            denominators *= stdev
+            denominators += cfg.denominator_mean
             with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = numerators / denominators
-            offsets = np.rint((ratios - r0) / w)
+                deviations = np.divide(numerators, denominators, out=denominators)
+            deviations -= r0
+            offsets = np.rint(np.divide(deviations, w, out=numerators), out=numerators)
             keep = np.isfinite(offsets) & (np.abs(offsets) <= half_bins)
             idx = offsets[keep].astype(np.int64) + half_bins
             counts += np.bincount(idx, minlength=counts.size)
-            deviation_sum += float(np.sum(ratios[keep] - r0))
+            deviation_sum += float(np.sum(deviations[keep]))
             in_window += int(np.count_nonzero(keep))
             remaining -= n
         peak = r0 + (int(np.argmax(counts)) - half_bins) * w

@@ -55,6 +55,17 @@ def test_trial_bad_radius_names_key(argv, tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_first_iteration_that_never_passes_the_mark_exits_two(tmp_path, capsys):
+    # a juxtaposition loss of 200 on average outweighs the 127 piece, so the
+    # first iteration can never reach 6R and the runaway guard fires
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "trial", "--juxtaposition-span", "400", "--out", str(out_dir))
+    assert code == 2
+    assert err.startswith("error: ")
+    assert out == ""
+    assert not out_dir.exists()
+
+
 def test_internal_failure_exits_one(monkeypatch, tmp_path, capsys):
     def broken(*args, **kwargs):
         raise RuntimeError("boom")

@@ -1,7 +1,5 @@
-import contextlib
 import math
 import random
-import signal
 from fractions import Fraction
 
 import pytest
@@ -16,27 +14,12 @@ from sixradii.contfrac import (
 )
 
 
-@contextlib.contextmanager
-def _deadline(seconds):
-    """Fail with TimeoutError if the block runs longer than ``seconds``."""
-    def expire(signum, frame):
-        raise TimeoutError(f"did not return within {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-def test_pi_over_three_expansion():
+def test_pi_over_three_expansion(deadline):
     assert cf_expand(math.pi / 3, 3).quotients == (1, 21, 5)
     # Without max_terms a float expansion ends where a double runs out of
     # resolution, instead of expanding rounding noise forever.
     for x in (math.pi / 3, random.Random(1).uniform(0.01, 100)):
-        with _deadline(5):
+        with deadline(5):
             expansion = cf_expand(x)
         assert not expansion.exact
         assert expansion == cf_expand(x, len(expansion.quotients))

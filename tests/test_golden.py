@@ -34,9 +34,9 @@ _CASES = {
 
 _GOLDEN = {
     "ablate": {
-        "ablate.csv": "48a398c71ce38187873f7dab437698f1a055cb495065e38e054ab04a2976164e",
-        "ablate.json": "e17c369a5bf2d312d5ec664393d951dbdf92e157c91f32a80bbd0d0f87b6647f",
-        "stdout": "bfd9cecab7d8879633f11e95c9fb51f96dd9202e1cc9be1af3d5764d55a4850d",
+        "ablate.csv": "d3afe7d11c42bdfc15fb62ec0655d5f3843280ec504879e6eab978517a57ac00",
+        "ablate.json": "83ef66076166340e43ea0b22f1fc5996c6c987f00e497f41472861fbd975a2d8",
+        "stdout": "0656a234c5e58191b27d3a648bf92d08dc682be5c1ebf63cf916ed4f407ed098",
     },
     "budget": {
         "budget.csv": "54a6804ccd49e95d404d24ef643dd163e8d194f5e8a57b36e16e06593d95c324",

@@ -7,7 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sixradii.errors import ErrorModel
+from sixradii.experiments import AblationMode, apply_ablation
 from sixradii.measurement import (
+    _RUNAWAY_LIMIT,
+    WINDOW_HI,
     TrialConfig,
     accumulate_until_exceeds,
     first_iteration,
@@ -175,6 +178,52 @@ def test_second_iteration_validation():
         second_iteration(rng_new(0), zero_cfg(), -1.0, 5.0)
     with pytest.raises(ValueError):
         second_iteration(rng_new(0), zero_cfg(), 100.0, 0.0)
+
+
+def _reference_second_count(rng, cfg, c_piece, remainder):
+    """The second count from an accumulation bounded only by the runaway guard."""
+    acc = accumulate_until_exceeds(rng, cfg, remainder, c_piece, _RUNAWAY_LIMIT)
+    if acc.total <= c_piece:
+        return math.inf  # the mark is never passed
+    return round_count(acc.pieces_used, acc.total - c_piece, acc.total - acc.total_before_last,
+                       literal=cfg.literal_rounding)
+
+
+def _at_second_iteration(root, t, cfg):
+    """Child stream t of root, replayed up to the second iteration."""
+    stream = derive_child(root, t)
+    c_piece = sample_circumference_piece(stream, cfg)
+    _, remainder = first_iteration(stream, cfg, c_piece)
+    return stream, c_piece, remainder
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32),
+    radius=st.sampled_from([200.0, 450.0, 900.0]),
+    mode=st.sampled_from(list(AblationMode)),
+    literal=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_bounded_second_iteration_matches_reference(seed, radius, mode, literal):
+    cfg = TrialConfig(radius=radius, error_model=apply_ablation(ErrorModel(), mode),
+                      literal_rounding=literal)
+    root = rng_new(seed)
+    for t in range(10):
+        stream, c_piece, remainder = _at_second_iteration(root, t, cfg)
+        if not 0 < remainder < c_piece:
+            continue
+        replay = _at_second_iteration(root, t, cfg)[0]
+        expected = min(_reference_second_count(replay, cfg, c_piece, remainder), WINDOW_HI + 1)
+        assert second_iteration(stream, cfg, c_piece, remainder) == expected
+
+
+def test_second_iteration_stops_when_the_mark_is_never_passed(deadline):
+    # each copy of a 0.05 piece loses 0.09 on average to juxtaposition, so the
+    # total drifts away from the mark; the count is past the window at once
+    cfg = TrialConfig()
+    assert 0.05 < 0.5 * cfg.error_model.juxtaposition_span_effective()
+    with deadline(5):
+        assert second_iteration(rng_new(0), cfg, 127.0, 0.05) == WINDOW_HI + 1
 
 
 @pytest.mark.parametrize("radius", [100.0, 200.0, 450.0, 900.0, 333.33])
