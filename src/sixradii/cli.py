@@ -150,6 +150,40 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return resolve(file_values, _flag_values(args), os.environ.get(ENV_OUT_DIR))
 
 
+# Numeric arguments checked before any command runs: (argument, name in the
+# message, least value). A NaN is below every least value.
+_LEAST = (
+    ("max_measurements", "max_measurements", 1),
+    ("campaigns", "n_campaigns", 1),
+    ("budget", "budget", 1),
+    ("trials", "n_trials", 1),
+    ("trials_per_radius", "trials_per_radius", 1),
+    ("terms", "max_terms", 1),
+    ("tolerance", "tolerance", 0),
+)
+
+
+def _check_args(args: argparse.Namespace) -> None:
+    """Reject a command argument below its least value, naming its flag."""
+    for attr, name, least in _LEAST:
+        value = getattr(args, attr, None)
+        if value is not None and not value >= least:
+            raise ConfigError(f"invalid value for {_flag_for(attr)}: {name} must be >= {least}")
+
+
+def _spec(cls, flags: Mapping[str, str], **values):
+    """``cls(**values)``; a value it rejects is a ConfigError naming its flag.
+
+    ``flags`` maps field names to flags; the objects' messages start with the
+    name of the field they reject.
+    """
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        field = str(exc).split()[0]
+        raise ConfigError(f"invalid value for {flags.get(field, field)}: {exc}") from None
+
+
 def _parse_list(text: str, flag: str, kind: type = float) -> tuple:
     try:
         values = tuple(kind(p) for p in text.split(",") if p.strip())
@@ -286,6 +320,8 @@ def cmd_ablate(args: argparse.Namespace, cfg: RunConfig) -> Report:
 
 def cmd_sweep_radius(args: argparse.Namespace, cfg: RunConfig) -> Report:
     radii = _parse_list(args.radii, "--radii")
+    if not min(radii) > 0:
+        raise ConfigError("invalid value for --radii: radius must be > 0")
     points = radius_first_iteration_sweep(
         radii, args.trials_per_radius, cfg.trial, cfg.seed, workers=args.threads
     )
@@ -300,7 +336,9 @@ def cmd_sweep_radius(args: argparse.Namespace, cfg: RunConfig) -> Report:
 
 
 def cmd_grid(args: argparse.Namespace, cfg: RunConfig) -> Report:
-    spec = SweepSpec(
+    spec = _spec(
+        SweepSpec,
+        {f: _flag_for(f) for f in ("radii", "budgets", "campaigns_per_cell", "cost_cap")},
         radii=_parse_list(args.radii, "--radii"),
         budgets=_parse_list(args.budgets, "--budgets", int),
         campaigns_per_cell=args.campaigns_per_cell,
@@ -341,10 +379,14 @@ def _parse_cf_value(text: str) -> float | Fraction:
     try:
         if "/" in lowered:
             num, _, den = lowered.partition("/")
-            return Fraction(int(num), int(den))
-        return float(lowered)
+            value = Fraction(int(num), int(den))
+        else:
+            value = float(lowered)
     except (ValueError, ZeroDivisionError):
         raise ConfigError(f"invalid value for --value: {text!r}") from None
+    if not 0 < value < math.inf:
+        raise ConfigError(f"invalid value for --value: {text!r} must be > 0 and finite")
+    return value
 
 
 def cmd_cf(args: argparse.Namespace, cfg: RunConfig) -> Report:
@@ -368,7 +410,11 @@ def cmd_cf(args: argparse.Namespace, cfg: RunConfig) -> Report:
 
 
 def cmd_recip(args: argparse.Namespace, cfg: RunConfig) -> Report:
-    study = ReciprocalStudyConfig(
+    study = _spec(
+        ReciprocalStudyConfig,
+        {"numerator_mean": "--num-mean", "numerator_stdev": "--num-stdev",
+         "denominator_mean": "--den-mean", "denominator_stdevs": "--stdevs",
+         "samples_per_point": "--samples", "bin_width": "--bin-width"},
         numerator_mean=args.num_mean,
         numerator_stdev=args.num_stdev,
         denominator_mean=args.den_mean,
@@ -403,13 +449,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_args(args)
         cfg = _resolve_config(args)
         _write_report(args.command, cfg, _COMMANDS[args.command](args, cfg))
         return EXIT_OK
     except CostCapError as exc:
         print(f"cost cap exceeded: {exc}", file=sys.stderr)
         return EXIT_COST_CAP
-    except (ConfigError, DegenerateConfigError, ValueError, OSError) as exc:
+    except (ConfigError, DegenerateConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:

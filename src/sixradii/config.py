@@ -33,6 +33,10 @@ class RunConfig:
     out_dir: str = "out"
     formats: tuple[str, ...] = ("csv", "json")
 
+    def __post_init__(self) -> None:
+        if not 0 <= self.seed < 2**64:
+            raise ValueError("seed must be a 64-bit unsigned integer")
+
 
 def _leaves(cls, path: tuple[str, ...] = ()):
     """(path, field) of every scalar field of ``cls``, nested dataclasses expanded."""

@@ -1,29 +1,28 @@
 """Batch experiments: success rates, budget curves, sweeps, and ablations.
 
-Every experiment is a pure function of its configuration and seed. Campaigns
-and grid cells run on child streams indexed by position, so batches can be
-chunked across processes and merged by index with results identical to a
-serial run.
+Every experiment is a pure function of its configuration and seed. Streams
+are addressed by path: campaign c of a batch runs on ``(seed, c)``, grid cell
+k on ``(seed, k)`` with its campaigns on ``(seed, k, c)``, radius i of a
+sweep on ``(seed, i)``, and each adds the index of its trial block. Batches
+can therefore be chunked across processes and merged by index with results
+identical to a serial run. All of them run trials through the block kernel,
+:func:`~sixradii.measurement.trial_block`.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, NamedTuple, Sequence
 
+import numpy as np
+
 from .errors import ErrorModel
 from .histogram import StoppingCriteria, run_campaign
-from .measurement import (
-    TrialConfig,
-    first_iteration,
-    sample_circumference_piece,
-    simulate_trial,
-)
-from .stochastics import RngState, derive_child, derive_seed, rng_new
+from .measurement import BLOCK_TRIALS, WINDOW_HI, TrialConfig, trial_block
+from .stochastics import RngState, derive_child, rng_new
 
 
 class CostCapError(RuntimeError):
@@ -134,18 +133,19 @@ def run_campaign_batch(
     cfg: TrialConfig,
     criteria: StoppingCriteria | None,
     n_campaigns: int,
-    seed: int,
+    seed: int | RngState,
     max_measurements: int = 10_000,
     workers: int = 1,
 ) -> list[CampaignOutcome]:
     """n independent stopping-rule campaigns; campaign i uses child stream i.
 
-    With ``criteria=None`` every campaign records exactly ``max_measurements``
-    and selects its histogram's peak bin.
+    ``seed`` is a seed, whose root stream roots the batch, or the root
+    stream itself. With ``criteria=None`` every campaign records exactly
+    ``max_measurements`` and selects its histogram's peak bin.
     """
     if n_campaigns < 1:
         raise ValueError("n_campaigns must be >= 1")
-    root = rng_new(seed)
+    root = seed if isinstance(seed, RngState) else rng_new(seed)
     tasks = [
         (root.key, start, stop, cfg, criteria, max_measurements)
         for start, stop in _split_ranges(n_campaigns, workers * 4)
@@ -167,9 +167,12 @@ def summarize_success(outcomes: Sequence[CampaignOutcome]) -> SuccessStats:
 
 
 def fixed_budget_success(
-    cfg: TrialConfig, budget: int, n_campaigns: int, seed: int, workers: int = 1
+    cfg: TrialConfig, budget: int, n_campaigns: int, seed: int | RngState, workers: int = 1
 ) -> SuccessStats:
-    """Success over n campaigns that each record exactly ``budget`` measurements."""
+    """Success over n campaigns that each record exactly ``budget`` measurements.
+
+    ``seed`` roots the batch as in :func:`run_campaign_batch`.
+    """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     return summarize_success(run_campaign_batch(cfg, None, n_campaigns, seed, budget, workers))
@@ -187,29 +190,25 @@ def ablation_distribution(
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     ablated = replace(cfg, error_model=apply_ablation(cfg.error_model, mode))
-    root = rng_new(seed)
-    counter: Counter[int] = Counter()
-    kept = 0
-    for t in range(n_trials):
-        trial = simulate_trial(derive_child(root, t), ablated)
-        if trial.first_quotient == 21:
-            counter[trial.second_quotient] += 1
-            kept += 1
-    if kept == 0:
-        return {}
-    return {q: counter[q] / kept for q in sorted(counter)}
+    counts = sum(np.bincount(second[first == 21], minlength=WINDOW_HI + 2)
+                 for first, second in _trial_blocks(rng_new(seed), ablated, n_trials))
+    kept = int(counts.sum())
+    return {q: int(c) / kept for q, c in enumerate(counts) if c}
+
+
+def _trial_blocks(rng: RngState, cfg: TrialConfig, n_trials: int):
+    """First and second quotients of the first n trials of ``rng``'s trial blocks, by block."""
+    for b in range(-(-n_trials // BLOCK_TRIALS)):
+        first, second = trial_block(derive_child(rng, b), cfg)
+        rows = n_trials - b * BLOCK_TRIALS
+        yield first[:rows], second[:rows]
 
 
 def _radius_sweep_worker(task) -> RadiusSweepPoint:
     key, radius_index, radius, trials, cfg = task
-    cfg_r = replace(cfg, radius=radius)
-    root = RngState(key[0], tuple(key[1:]))
-    radius_stream = derive_child(root, radius_index)
-    hits = 0
-    for t in range(trials):
-        stream = derive_child(radius_stream, t)
-        quotient, _ = first_iteration(stream, cfg_r, sample_circumference_piece(stream, cfg_r))
-        hits += quotient == 21
+    radius_stream = derive_child(RngState(key[0], key[1:]), radius_index)
+    blocks = _trial_blocks(radius_stream, replace(cfg, radius=radius), trials)
+    hits = sum(int(np.count_nonzero(first == 21)) for first, _ in blocks)
     return RadiusSweepPoint(radius, hits / trials)
 
 
@@ -234,9 +233,9 @@ def radius_first_iteration_sweep(
 
 
 def _grid_cell_worker(task) -> GridCell:
-    radius, budget, campaigns, cell_seed, cfg = task
+    radius, budget, campaigns, seed, k, cfg = task
     cfg_cell = replace(cfg, radius=radius)
-    stats = fixed_budget_success(cfg_cell, budget, campaigns, cell_seed, workers=1)
+    stats = fixed_budget_success(cfg_cell, budget, campaigns, derive_child(rng_new(seed), k))
     return GridCell(radius, budget, stats.success_fraction)
 
 
@@ -245,8 +244,8 @@ def radius_budget_grid(
 ) -> list[GridCell]:
     """Fixed-budget success fraction per (radius, budget) cell.
 
-    Cell k runs :func:`fixed_budget_success` with seed ``derive_seed(base, k)``,
-    so a single-cell grid reduces to that call exactly. Raises
+    Cell k runs :func:`fixed_budget_success` on stream ``(base_seed, k)``, so
+    a single-cell grid reduces to that call exactly. Raises
     :class:`CostCapError` if cells x campaigns exceeds the cap.
     """
     cells = [(r, b) for r in spec.radii for b in spec.budgets]
@@ -256,8 +255,7 @@ def radius_budget_grid(
             f"cost cap {spec.cost_cap}"
         )
     tasks = [
-        (float(radius), int(budget), spec.campaigns_per_cell, derive_seed(spec.base_seed, k),
-         cfg_template)
+        (float(radius), int(budget), spec.campaigns_per_cell, spec.base_seed, k, cfg_template)
         for k, (radius, budget) in enumerate(cells)
     ]
     return _run_tasks(_grid_cell_worker, tasks, workers)

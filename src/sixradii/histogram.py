@@ -4,13 +4,19 @@ The measurer tallies second-iteration outcomes and keeps measuring until the
 tally shows one clean peak: the peak clearly above its neighbors, a wide
 enough base of well-filled bins, and counts falling away monotonically on
 both flanks. The peak bin is then selected as the answer.
+
+:func:`stopping_met` is the rule for one histogram and the readable
+reference. A campaign takes its trials a block at a time and runs
+:func:`stopping_prefix`, the same rule on every prefix of the block at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .measurement import WINDOW_HI, DegenerateConfigError, TrialConfig, simulate_trial
+import numpy as np
+
+from .measurement import BLOCK_TRIALS, WINDOW_HI, DegenerateConfigError, TrialConfig, trial_block
 from .stochastics import RngState, derive_child
 
 _CAMPAIGN_TRIAL_LIMIT = 1_000_000
@@ -41,6 +47,14 @@ class Histogram:
             self.overflow += 1
         else:
             self.counts[value - self.lo] += 1
+
+    def record_all(self, values: np.ndarray) -> None:
+        """Record every value of an integer array, as :meth:`record` would one by one."""
+        below, above = values < self.lo, values > self.hi
+        self.underflow += int(np.count_nonzero(below))
+        self.overflow += int(np.count_nonzero(above))
+        tally = np.bincount(values[~below & ~above] - self.lo, minlength=len(self.counts))
+        self.counts = [c + int(t) for c, t in zip(self.counts, tally)]
 
     def count(self, value: int) -> int:
         if not self.lo <= value <= self.hi:
@@ -151,6 +165,40 @@ def stopping_met(hist: Histogram, criteria: StoppingCriteria) -> bool:
     return True
 
 
+def stopping_prefix(hist: Histogram, values: np.ndarray, criteria: StoppingCriteria) -> int | None:
+    """First i at which :func:`stopping_met` passes once ``values[:i + 1]`` are recorded.
+
+    ``hist`` is left as it is; None means no prefix passes. Every prefix's
+    histogram is a row of a one-hot cumulative sum, and :func:`stopping_met`'s
+    conditions are evaluated on all rows at once.
+    """
+    bins = np.arange(hist.lo, hist.hi + 1)
+    h = np.cumsum(values[:, None] == bins, axis=0) + np.array(hist.counts)
+    rows = np.arange(len(values))
+    peak = h.argmax(axis=1)  # ties break toward the lowest bin, as peak_bin
+    peak_count = h[rows, peak]
+    # a bin beyond the window edge counts as zero
+    below = np.where(peak > 0, h[rows, peak - 1], 0)
+    above = np.where(peak < len(bins) - 1, h[rows, np.minimum(peak + 1, len(bins) - 1)], 0)
+    high = h > (criteria.bin_threshold_fraction * peak_count)[:, None]
+    # above-threshold bins form one group (around the peak) when they form one run
+    runs = high[:, 0] + np.count_nonzero(high[:, 1:] & ~high[:, :-1], axis=1)
+    # within the group, counts rise strictly up to the peak and fall strictly after it
+    step = np.diff(h, axis=1)
+    rising = np.arange(len(bins) - 1) < peak[:, None]
+    unresolved = high[:, 1:] & high[:, :-1] & np.where(rising, step <= 0, step >= 0)
+    passed = (
+        (peak_count >= criteria.min_peak_count)
+        & (peak_count >= criteria.peak_dominance * below)
+        & (peak_count >= criteria.peak_dominance * above)
+        & (runs == 1)
+        & (np.count_nonzero(high, axis=1) >= criteria.min_consecutive_bins)
+        & ~unresolved.any(axis=1)
+    )
+    hits = np.flatnonzero(passed)
+    return int(hits[0]) if hits.size else None
+
+
 @dataclass
 class CampaignResult:
     """Outcome of one measure-until-stopping campaign.
@@ -181,9 +229,10 @@ def run_campaign(
 
     Trials whose first quotient is not 21 are discarded: they are counted but
     neither recorded in the histogram nor charged against the measurement
-    budget. The rule is evaluated after every recorded measurement. Each
-    trial runs on its own child stream of ``rng``, so a campaign is a pure
-    function of the stream key and the configuration.
+    budget. The rule is evaluated after every recorded measurement. Trials
+    come in blocks of ``BLOCK_TRIALS``, block b from child stream b of
+    ``rng``, so a campaign is a pure function of the stream key and the
+    configuration, and a campaign that stops early is a prefix of a longer one.
 
     ``criteria=None`` never stops: the campaign records exactly
     ``max_measurements`` and ``selected`` stays None (a fixed-budget campaign
@@ -193,29 +242,32 @@ def run_campaign(
         raise ValueError("max_measurements must be >= 1")
     hist = Histogram()
     recorded = 0
-    discarded = 0
-    trial_index = 0
+    trials = 0
     selected = None
-    while recorded < max_measurements:
-        trial = simulate_trial(derive_child(rng, trial_index), cfg)
-        trial_index += 1
-        if trial.discarded:
-            discarded += 1
-            if trial_index > _CAMPAIGN_TRIAL_LIMIT:
-                raise DegenerateConfigError(
-                    "campaign exceeded the trial limit without recording enough "
-                    "measurements; first iteration almost never yields 21"
-                )
-            continue
-        hist.record(trial.second_quotient)
-        recorded += 1
-        if criteria is not None and stopping_met(hist, criteria):
+    block = 0
+    while recorded < max_measurements and selected is None:
+        if trials >= _CAMPAIGN_TRIAL_LIMIT:
+            raise DegenerateConfigError(
+                "campaign exceeded the trial limit without recording enough "
+                "measurements; first iteration almost never yields 21"
+            )
+        first, second = trial_block(derive_child(rng, block), cfg)
+        block += 1
+        kept = np.flatnonzero(first == 21)[: max_measurements - recorded]
+        values = second[kept]
+        stop = stopping_prefix(hist, values, criteria) if criteria is not None else None
+        if stop is not None:
+            kept, values = kept[: stop + 1], values[: stop + 1]
+        hist.record_all(values)
+        if stop is not None:
             selected = hist.peak_bin()
-            break
+        recorded += len(values)
+        # a campaign that ends in this block ends at its last recorded trial
+        trials += int(kept[-1]) + 1 if recorded == max_measurements or stop is not None else BLOCK_TRIALS
     return CampaignResult(
         selected=selected,
         measurements=recorded,
-        discarded=discarded,
+        discarded=trials - recorded,
         histogram=hist,
         stream_key=rng.key,
     )

@@ -5,6 +5,12 @@ counts how many such pieces fit into 6R (first iteration, true value 21),
 builds the leftover piece 6R - 21(C - 6R), and counts how many of those fit
 into (C - 6R) rounded to the nearest whole piece (second iteration, true
 value 5).
+
+The model is written twice. :func:`simulate_trial` and the functions it
+calls run one trial at a time and are the readable reference; the ``trial``
+command uses them. :func:`trial_block` runs ``BLOCK_TRIALS`` trials at once
+from one stream, with the same boundary branches and rounding; campaigns,
+ablations and the radius sweep use it.
 """
 
 from __future__ import annotations
@@ -21,6 +27,8 @@ from .stochastics import RngState, normal_block, sample_normal, sample_uniform, 
 _RUNAWAY_LIMIT = 1_000_000
 _BLOCK = 64
 WINDOW_HI = 16  # top bin of the second-count histogram; every count above it is overflow
+BLOCK_TRIALS = 256  # trials per trial_block call, all drawn from one stream
+_FIRST_STEPS = 24  # copies laid on every row of the first count (21 pass the mark)
 
 
 class DegenerateConfigError(RuntimeError):
@@ -225,3 +233,84 @@ def simulate_trial(rng: RngState, cfg: TrialConfig) -> TrialResult:
         remainder_piece=remainder,
         discarded=quotient != 21,
     )
+
+
+def _lay(
+    rng: RngState, ref: np.ndarray, running: np.ndarray, target: np.ndarray, steps: int,
+    cut_stdev: float, span: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lay ``steps`` copies of each row's reference piece after its running total.
+
+    Row-wise form of :func:`accumulate_until_exceeds`: every copy is cut to
+    match (normal error) and juxtaposed (uniform shrinkage). Returns per row
+    the copies laid up to the first total past ``target``, the total before
+    that copy and the total after it. A row that does not pass returns
+    ``steps`` and its last two totals.
+    """
+    m = ref.size
+    totals = ref[:, None] + cut_stdev * normal_block(rng, m * steps).reshape(m, steps)
+    totals += uniform_block(rng, -span, 0.0, m * steps).reshape(m, steps)
+    np.cumsum(totals, axis=1, out=totals)
+    totals += running[:, None]
+    over = totals > target[:, None]
+    k = np.where(over.any(axis=1), over.argmax(axis=1), steps - 1)
+    rows = np.arange(m)
+    before = np.where(k > 0, totals[rows, k - 1], running)
+    return k + 1, before, totals[rows, k]
+
+
+def trial_block(rng: RngState, cfg: TrialConfig) -> tuple[np.ndarray, np.ndarray]:
+    """First and second quotients of ``BLOCK_TRIALS`` trials drawn from ``rng``.
+
+    Each row is one :func:`simulate_trial` with the same error terms,
+    boundary branches and rounding. Both counts are row-wise first crossings
+    of cumulative sums: the first over ``_FIRST_STEPS`` copies, after which
+    a row that has not passed 6R keeps laying copies until it does, and the
+    second over the copies up to ``WINDOW_HI + 1``, past which it reads
+    ``WINDOW_HI + 1``. A piece outside (0, 6R) or a first count past the
+    10^6-piece guard raises :class:`DegenerateConfigError`.
+    """
+    em = cfg.error_model
+    gen = rng.generator
+    n = BLOCK_TRIALS
+    cut_stdev = em.cut_match_stdev_effective()
+    span = em.juxtaposition_span_effective()
+    piece = np.full(n, cfg.true_circumference - cfg.six_r)
+    piece += em.bend_elongation()
+    piece += em.circumference_stdev(cfg.radius) * gen.standard_normal(n)
+    piece += 3.0 * em.cut_elongation_effective()
+    piece += cut_stdev * gen.standard_normal(n)
+    bad = (piece <= 0) | (piece >= cfg.six_r)
+    if bad.any():
+        raise DegenerateConfigError(
+            f"circumference piece {piece[bad][0]} outside (0, 6R); check error magnitudes"
+        )
+    six_r = np.full(n, cfg.six_r)
+    laid, before, total = _lay(rng, piece, piece, six_r, _FIRST_STEPS, cut_stdev, span)
+    for i in np.flatnonzero(total <= six_r):
+        row = slice(i, i + 1)
+        while total[i] <= cfg.six_r:
+            if laid[i] + 1 >= _RUNAWAY_LIMIT:
+                raise DegenerateConfigError(
+                    f"accumulation used more than {_RUNAWAY_LIMIT} pieces "
+                    f"(piece_ref={piece[i]}, target={cfg.six_r})")
+            more, before[row], total[row] = _lay(
+                rng, piece[row], total[row], six_r[row], _BLOCK, cut_stdev, span)
+            laid[i] += more[0]
+    first = laid  # pieces used to pass the mark, less one
+    remainder = cfg.six_r - before
+    remainder += gen.uniform(0.0, span, n)
+    remainder += cut_stdev * gen.standard_normal(n)
+    remainder += em.cut_elongation_effective()
+    laid, before, total = _lay(rng, remainder, remainder, piece, WINDOW_HI, cut_stdev, span)
+    short = total <= piece  # no copy up to WINDOW_HI + 1 passes the mark
+    longer = remainder >= piece  # the leftover piece alone passes the mark
+    # round_count of (pieces to pass, overshoot, last piece) on every row
+    used = np.where(longer, 1, laid + 1)
+    last = np.where(longer, remainder, total - before)
+    overshoot = np.where(longer, remainder, total) - piece
+    rounds_down = overshoot < 0.5 * last if cfg.literal_rounding else overshoot > 0.5 * last
+    second = used - rounds_down
+    second[short & ~longer] = WINDOW_HI + 1
+    second[remainder <= 0] = 0
+    return first, second

@@ -9,6 +9,7 @@ serial and parallel execution of the same layout give identical results.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -48,7 +49,7 @@ def rng_new(seed: int) -> RngState:
 
 
 def derive_child(rng: RngState, index: int) -> RngState:
-    """Independent child stream for a non-negative index (trial, campaign, cell).
+    """Independent child stream for a non-negative index (campaign, cell, trial block).
 
     Derivation depends only on the parent's key, never on how much of the
     parent stream has been consumed.
@@ -56,14 +57,6 @@ def derive_child(rng: RngState, index: int) -> RngState:
     if index < 0:
         raise ValueError("child index must be >= 0")
     return RngState(rng.seed, rng.path + (int(index),))
-
-
-def derive_seed(seed: int, index: int) -> int:
-    """A fresh 64-bit seed derived from (seed, index), for nested batch roots."""
-    if index < 0:
-        raise ValueError("index must be >= 0")
-    state = np.random.SeedSequence(entropy=(int(seed), int(index))).generate_state(1, np.uint64)
-    return int(state[0])
 
 
 def sample_normal(rng: RngState, mean: float, stdev: float) -> float:
@@ -111,17 +104,20 @@ class ReciprocalStudyConfig:
     bin_width: float = 0.02
 
     def __post_init__(self) -> None:
-        if self.denominator_mean <= 0:
+        # written so that a NaN fails every check
+        if not -math.inf < self.numerator_mean < math.inf:
+            raise ValueError("numerator_mean must be finite")
+        if not self.denominator_mean > 0:
             raise ValueError("denominator_mean must be > 0")
-        if self.numerator_stdev < 0:
+        if not self.numerator_stdev >= 0:
             raise ValueError("numerator_stdev must be >= 0")
         if not self.denominator_stdevs:
             raise ValueError("denominator_stdevs must be non-empty")
-        if any(s < 0 for s in self.denominator_stdevs):
+        if not all(s >= 0 for s in self.denominator_stdevs):
             raise ValueError("denominator_stdevs must all be >= 0")
         if self.samples_per_point < 10_000:
             raise ValueError("samples_per_point must be >= 10000")
-        if self.bin_width <= 0:
+        if not self.bin_width > 0:
             raise ValueError("bin_width must be > 0")
 
 

@@ -77,6 +77,55 @@ def test_internal_failure_exits_one(monkeypatch, tmp_path, capsys):
     assert out == ""
 
 
+def test_value_error_from_the_kernel_exits_one(monkeypatch, tmp_path, capsys):
+    # a ValueError raised by the program is a bug, not a config error
+    from sixradii import histogram
+
+    def broken(*args, **kwargs):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(histogram, "trial_block", broken)
+    code, out, err = run(capsys, "campaign", "--out", str(tmp_path), *COMMON)
+    assert code == 1
+    assert err.startswith("internal error: ")
+    assert out == ""
+
+
+def test_campaign_whose_first_iteration_never_passes_the_mark_exits_two(
+        tmp_path, capsys, deadline):
+    out_dir = tmp_path / "out"
+    with deadline(20):
+        code, out, err = run(capsys, "campaign", "--juxtaposition-span", "400",
+                             "--out", str(out_dir))
+    assert code == 2
+    assert err.startswith("error: accumulation used more than 1000000 pieces")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["campaign", "--max-measurements", "0"], "--max-measurements"),
+    (["success", "--campaigns", "0"], "--campaigns"),
+    (["budget", "--budget", "0"], "--budget"),
+    (["ablate", "--trials", "-1"], "--trials"),
+    (["sweep-radius", "--radii", "0,450"], "--radii"),
+    (["sweep-radius", "--trials-per-radius", "0"], "--trials-per-radius"),
+    (["grid", "--budgets", "0,5"], "--budgets"),
+    (["grid", "--campaigns-per-cell", "0"], "--campaigns-per-cell"),
+    (["cf", "--value", "nan"], "--value"),
+    (["cf", "--value", "pi", "--tolerance", "nan"], "--tolerance"),
+    (["recip", "--samples", "10"], "--samples"),
+    (["recip", "--stdevs", "-0.1"], "--stdevs"),
+    (["recip", "--den-mean", "nan"], "--den-mean"),
+], ids=lambda value: value if isinstance(value, str) else value[0])
+def test_argument_errors_exit_two_naming_the_flag(argv, flag, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, *argv, "--out", str(out_dir))
+    assert code == 2
+    assert err.startswith(f"error: invalid value for {flag}: ")
+    assert out == ""
+    assert not out_dir.exists()
+
+
 def test_unknown_flag_exits_two():
     with pytest.raises(SystemExit) as excinfo:
         main(["trial", "--no-such-flag", "1"])

@@ -17,7 +17,7 @@ from sixradii.experiments import (
 )
 from sixradii.histogram import StoppingCriteria
 from sixradii.measurement import TrialConfig
-from sixradii.stochastics import derive_seed
+from sixradii.stochastics import derive_child, rng_new
 
 
 def test_ablation_mode_parsing():
@@ -110,9 +110,10 @@ def test_sweep_validation():
 
 
 def test_grid_single_cell_reduces_to_fixed_budget():
+    # cell k runs its campaigns on the streams (base_seed, k, c)
     spec = SweepSpec(radii=(450.0,), budgets=(30,), campaigns_per_cell=12, base_seed=9)
     (cell,) = radius_budget_grid(spec, TrialConfig())
-    direct = fixed_budget_success(TrialConfig(), 30, 12, derive_seed(9, 0))
+    direct = fixed_budget_success(TrialConfig(), 30, 12, derive_child(rng_new(9), 0))
     assert cell.success_fraction == direct.success_fraction
 
 

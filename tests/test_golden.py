@@ -34,20 +34,20 @@ _CASES = {
 
 _GOLDEN = {
     "ablate": {
-        "ablate.csv": "d3afe7d11c42bdfc15fb62ec0655d5f3843280ec504879e6eab978517a57ac00",
-        "ablate.json": "83ef66076166340e43ea0b22f1fc5996c6c987f00e497f41472861fbd975a2d8",
-        "stdout": "0656a234c5e58191b27d3a648bf92d08dc682be5c1ebf63cf916ed4f407ed098",
+        "ablate.csv": "f718097cfc7ae0f5d13ea75d0152f0168d61c9f87c314a42764bf73136a020fd",
+        "ablate.json": "d6f6be3766a30582fd3186eedab0249a1258da69d78609fccefe0bc3fb0c40e8",
+        "stdout": "cc2f898eeb1f4e1dfc805972de90308885a1fca0066d0ce28705d1b64e29f045",
     },
     "budget": {
-        "budget.csv": "54a6804ccd49e95d404d24ef643dd163e8d194f5e8a57b36e16e06593d95c324",
-        "budget.json": "76dd30eb0c8a3d2c5e3d5f647e2cdb8104000c5570c71d33a91bed94f4180c89",
-        "stdout": "124ea689ce6c2daaf29a151db4056b06aac7c3cffccdaede8ad8d844e799ed84",
+        "budget.csv": "7bff4be239312675ec1a86f70e0f6fba835cf1aca5ae08af7aa499e333b71364",
+        "budget.json": "71e22d35a59d9968437c6b73c8f8d6a4cf03379f7fa935e5856cc4621de29a6e",
+        "stdout": "8dd7e148a7ead8d2cb782dc29347bd6538a775d6f2560382b0baacc180087f8a",
     },
     "campaign": {
-        "campaign.csv": "8b2e1f4e0658585f1ed0eed3f039b0e1f661ac667acb60d0e4c8ba75b6730466",
-        "campaign.json": "67f3f4574d7ee89c54ead94c24685c15582c75a4ac67aaac5a74ec97235d094d",
-        "campaign.svg": "8986f792e51771b07ce4617ebc620c45f994738f9ea940371537688b05966070",
-        "stdout": "60958ff4c681363f2006f9c7e36dbd14d7fe72bf9a07cc82b16559a44e12d7b2",
+        "campaign.csv": "996da6ae6e9b58341624ae9430e4516a07d7a123c0f4a97400f90bb0da0203e2",
+        "campaign.json": "610c876d2890125525fee3b6bfa6b35dae1757d1ccda28214574443aee5ce0af",
+        "campaign.svg": "988692e6df824468abf0f7f5697587d8b91c911d902eabcb2d2cea68cefe0738",
+        "stdout": "3b6dbc646c6db85d3d035df8888e7640a3c3b2f8c39d484802f8223e4c71fb43",
     },
     "cf-exact": {
         "cf.csv": "9a60f7011f4d666b065465cd534d561d5101b97f3607028aedbac67aa0cb0323",
@@ -60,9 +60,9 @@ _GOLDEN = {
         "stdout": "70d5cff46b55e0b3b7ed039e8d8b28bab14200abfa2611d30797b42dad4da9f1",
     },
     "grid": {
-        "grid.csv": "f5d3c2efa5c3bf4fc4d4394bf7265bdf34cde54f93afb0c022256879b94ee4d3",
-        "grid.json": "106e0ec0650740f0e0f6891bb73d445e3a28a4c3ad10caf6a9455dcc0524836d",
-        "stdout": "50e8c6d3a70364a3963d26b99326e3509b18dd6876ecf030a6fb4594bf4f4ad0",
+        "grid.csv": "65ee963debee1c7cb7011660650553e88f34dfbb7fdee2bc7e91b87f2adee80f",
+        "grid.json": "d79000365ac9532a508699a1f85001ea0f7a6f84beb8125a034f1db2a5088a6b",
+        "stdout": "b0a7f575d56cc0d330568199c8624987235e6b6e261bf2a7c3defc13df480dff",
     },
     "recip": {
         "recip.csv": "1ff262adb11a458b3efe5667777b3d634f7130bcdb2f63270bd7f3cdd541520f",
@@ -70,15 +70,15 @@ _GOLDEN = {
         "stdout": "e2b128b5e18c1b4c7eaf0a43b8cd38d5fcf3a45f4fd8e6fb2e0cdcfa1a5d16f4",
     },
     "success": {
-        "success.csv": "02b52896ef0dd6a0fc103084c3e11790f86dadc40da6a6d24e5c0da24486dead",
-        "success.json": "868e465ac595992084df0148ba4c87910444c22299864a754e2426d0cbb684c8",
-        "success_campaigns.csv": "8a0952fd7564fab9a788e615b568ded445140dfa15cc8776cd02e94a1fb373d2",
-        "stdout": "225b292701c2d100e0baa449dd98a0c374d2a1d75e02b2408761d05ebe15e88a",
+        "success.csv": "86aa95b712967fa176416ac5e62ca3bbb384de5b736a0d2ad6c8b29c9bba82fc",
+        "success.json": "fc8c8354464b61b4528f6f5d6a8cf2a8f5e9f06f4b7a5965c8f01218b5fb8d5d",
+        "success_campaigns.csv": "5059a607534825eeeff288f23aded06383d645e1f2d474db3b1ba8ba25b6b77b",
+        "stdout": "42c6d3676f9bb972fa9006d09f8f000b816e4536683768a69fe9082f34b09c92",
     },
     "sweep-radius": {
-        "sweep_radius.csv": "3a25378e452f00ee5de3b03b4a959cfb01a1eabf9833095a0c06d4bef9678ffd",
-        "sweep_radius.json": "3e84d531b63fbf13b5698d95b3825c351e730e3f3f5348911a5cee37fbab9566",
-        "stdout": "a35774ca84bd03226590edd56a177d132d16304aa075f661b8c227c85ec6fe2c",
+        "sweep_radius.csv": "8a85238689ad334a3f795d253e4058a8f937ae2d399292a4721990cea9623c16",
+        "sweep_radius.json": "9c4fea5f145afdcc965292206e1b5032c093b3c8267c159cf8bf60982cd02da6",
+        "stdout": "6c09a4605f94de213e1478c7506b6321329a5803723c76b976fcfaaeb9043e5a",
     },
     "trial": {
         "stdout": "9ea7c95f10dbc5446b5f182b1a2f005ee8bcaa45dcf1bcfce180a045241387a0",

@@ -2,22 +2,29 @@ import math
 import statistics
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2_contingency, ks_2samp
 
 from sixradii.errors import ErrorModel
 from sixradii.experiments import AblationMode, apply_ablation
 from sixradii.measurement import (
+    _FIRST_STEPS,
     _RUNAWAY_LIMIT,
+    BLOCK_TRIALS,
     WINDOW_HI,
+    DegenerateConfigError,
     TrialConfig,
+    _lay,
     accumulate_until_exceeds,
     first_iteration,
     round_count,
     sample_circumference_piece,
     second_iteration,
     simulate_trial,
+    trial_block,
 )
 from sixradii.stochastics import derive_child, rng_new
 
@@ -272,3 +279,103 @@ def test_fixed_bias_response_is_monotone():
         quotients.append(result.second_quotient)
     assert quotients == sorted(quotients)
     assert quotients[0] == 5
+
+
+def _kernel_quotients(cfg, n_trials, seed):
+    root = rng_new(seed)
+    blocks = [trial_block(derive_child(root, b), cfg) for b in range(-(-n_trials // BLOCK_TRIALS))]
+    return (np.concatenate([f for f, _ in blocks])[:n_trials],
+            np.concatenate([s for _, s in blocks])[:n_trials])
+
+
+def _reference_quotients(cfg, n_trials, seed):
+    rng = rng_new(seed)  # one stream: its successive trials are independent too
+    trials = [simulate_trial(rng, cfg) for _ in range(n_trials)]
+    return (np.array([t.first_quotient for t in trials]),
+            np.array([t.second_quotient for t in trials]))
+
+
+def _chi2_pvalue(a, b):
+    """Two-sample chi-square p-value of two count vectors over the same categories.
+
+    Categories with fewer than 20 counts in both samples together are pooled.
+    """
+    table = np.array([a, b])
+    rare = table.sum(axis=0) < 20
+    table = np.column_stack([table[:, ~rare], table[:, rare].sum(axis=1)])
+    return chi2_contingency(table[:, table.sum(axis=0) > 0]).pvalue
+
+
+def _outcome_counts(first, second):
+    """Kept trials per second count 0..16 and 17 (past the window), then discards."""
+    kept = second[first == 21]
+    return np.append(np.bincount(kept, minlength=WINDOW_HI + 2), np.count_nonzero(first != 21))
+
+
+@pytest.mark.parametrize("radius", [200.0, 450.0, 900.0])
+@pytest.mark.parametrize("mode", [AblationMode.ALL_ERRORS, AblationMode.RANDOM_ONLY])
+def test_kernel_matches_scalar_reference_in_distribution(mode, radius):
+    # 1e5 kernel trials per radius against 1e5 scalar trials per mode over the
+    # three radii: second counts 0..16, the 17 overflow and the discard rate
+    cfg = TrialConfig(radius=radius, error_model=apply_ablation(ErrorModel(), mode))
+    kernel = _outcome_counts(*_kernel_quotients(cfg, 100_000, 21))
+    reference = _outcome_counts(*_reference_quotients(cfg, 33_334, 22))
+    assert _chi2_pvalue(kernel, reference) > 1e-4
+
+
+def test_row_accumulation_matches_accumulate_until_exceeds():
+    # 20 copies of a 5 mm piece fall short of 101 mm and 21 pass it, so the
+    # spread of the final total is the scatter of the copies
+    cfg = TrialConfig()
+    em = cfg.error_model
+    n = 5000
+    ref = np.full(n, 5.0)
+    laid, _, total = _lay(rng_new(1), ref, ref, np.full(n, 101.0), 64,
+                          em.cut_match_stdev_effective(), em.juxtaposition_span_effective())
+    rng = rng_new(2)
+    reference = [accumulate_until_exceeds(rng, cfg, 5.0, 101.0) for _ in range(n)]
+    assert _chi2_pvalue(np.bincount(laid + 1, minlength=30),
+                        np.bincount([a.pieces_used for a in reference], minlength=30)) > 1e-4
+    assert ks_2samp(total, [a.total for a in reference]).pvalue > 1e-4
+
+
+@pytest.mark.parametrize("radius", [200.0, 450.0, 900.0])
+@pytest.mark.parametrize("model, literal", [(FIXED_ONLY, False), (ZERO, False), (FIXED_ONLY, True)])
+def test_kernel_is_exact_without_random_errors(model, literal, radius):
+    cfg = TrialConfig(radius=radius, error_model=model, literal_rounding=literal)
+    reference = simulate_trial(rng_new(0), cfg)
+    first, second = trial_block(rng_new(0), cfg)
+    assert set(first.tolist()) == {reference.first_quotient}
+    assert set(second.tolist()) == {reference.second_quotient}
+
+
+def test_kernel_point_masses_at_radius_450():
+    def outcomes(model, literal=False):
+        first, second = trial_block(rng_new(3), TrialConfig(error_model=model,
+                                                            literal_rounding=literal))
+        return set(first.tolist()), set(second.tolist())
+
+    assert outcomes(FIXED_ONLY) == ({21}, {7})
+    assert outcomes(ZERO) == ({21}, {5})
+    assert outcomes(FIXED_ONLY, literal=True) == ({21}, {8})
+
+
+def test_kernel_slow_rows_match_scalar_reference():
+    # a 50 mm juxtaposition span shortens every copy by 25 mm on average, so
+    # the first count needs about 27 copies, past the kernel's first pass
+    cfg = TrialConfig(error_model=ErrorModel(juxtaposition_span=50.0))
+    first, second = _kernel_quotients(cfg, 20_000, 5)
+    assert np.count_nonzero(first > _FIRST_STEPS) > 15_000
+    ref_first, ref_second = _reference_quotients(cfg, 10_000, 6)
+    values = np.arange(max(first.max(), ref_first.max()) + 1)
+    assert _chi2_pvalue(np.bincount(first, minlength=values.size),
+                        np.bincount(ref_first, minlength=values.size)) > 1e-4
+    assert _chi2_pvalue(np.bincount(second, minlength=WINDOW_HI + 2),
+                        np.bincount(ref_second, minlength=WINDOW_HI + 2)) > 1e-4
+
+
+def test_kernel_keeps_the_guards(deadline):
+    with pytest.raises(DegenerateConfigError, match="outside"):
+        trial_block(rng_new(0), TrialConfig(error_model=ErrorModel(cut_elongation=1000.0)))
+    with deadline(10), pytest.raises(DegenerateConfigError, match="pieces"):
+        trial_block(rng_new(0), TrialConfig(error_model=ErrorModel(juxtaposition_span=400.0)))

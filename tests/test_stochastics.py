@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from sixradii.stochastics import (
     ReciprocalStudyConfig,
     derive_child,
-    derive_seed,
     normal_block,
     reciprocal_peak_curve,
     rng_new,
@@ -63,11 +62,6 @@ def test_seed_out_of_range_rejected():
         rng_new(-1)
     with pytest.raises(ValueError):
         derive_child(rng_new(1), -2)
-
-
-def test_derive_seed_deterministic():
-    assert derive_seed(5, 0) == derive_seed(5, 0)
-    assert derive_seed(5, 0) != derive_seed(5, 1)
 
 
 def test_normal_degenerate_returns_mean_exactly():
