@@ -57,7 +57,8 @@ def _common_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=os.cpu_count() or 1,
-        help="worker processes for campaign batches (output is independent of this)",
+        help="worker processes for campaign batches and recip grid points "
+        "(output is independent of this)",
     )
     for field in SCHEMA:
         common.add_argument(
@@ -160,6 +161,7 @@ _LEAST = (
     ("trials_per_radius", "trials_per_radius", 1),
     ("terms", "max_terms", 1),
     ("tolerance", "tolerance", 0),
+    ("threads", "threads", 1),
 )
 
 
@@ -422,7 +424,7 @@ def cmd_recip(args: argparse.Namespace, cfg: RunConfig) -> Report:
         samples_per_point=args.samples,
         bin_width=args.bin_width,
     )
-    points = reciprocal_peak_curve(study, rng_new(cfg.seed))
+    points = reciprocal_peak_curve(study, rng_new(cfg.seed), workers=args.threads)
     return Report(
         f"points={len(points)} first_peak={points[0].peak_location:.4f} "
         f"last_peak={points[-1].peak_location:.4f}",

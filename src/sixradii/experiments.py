@@ -5,24 +5,24 @@ are addressed by path: campaign c of a batch runs on ``(seed, c)``, grid cell
 k on ``(seed, k)`` with its campaigns on ``(seed, k, c)``, radius i of a
 sweep on ``(seed, i)``, and each adds the index of its trial block. Batches
 can therefore be chunked across processes and merged by index with results
-identical to a serial run. All of them run trials through the block kernel,
-:func:`~sixradii.measurement.trial_block`.
+identical to a serial run. They fan out through the package's one
+process-pool helper, :func:`~sixradii.stochastics._run_tasks`, and run trials
+through the block kernel, :func:`~sixradii.measurement.trial_block`.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ErrorModel
 from .histogram import StoppingCriteria, run_campaign
 from .measurement import BLOCK_TRIALS, WINDOW_HI, TrialConfig, trial_block
-from .stochastics import RngState, derive_child, rng_new
+from .stochastics import RngState, _run_tasks, derive_child, rng_new
 
 
 class CostCapError(RuntimeError):
@@ -103,13 +103,6 @@ class GridCell(NamedTuple):
     radius: float
     budget: int
     success_fraction: float
-
-
-def _run_tasks(fn: Callable, tasks: list, workers: int) -> list:
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-        return list(pool.map(fn, tasks))
 
 
 def _split_ranges(n: int, parts: int) -> list[tuple[int, int]]:

@@ -5,13 +5,17 @@ which is addressed by a 64-bit seed plus a derivation path. Rebuilding a
 state with the same key replays the same samples bit for bit, and child
 streams are derived from the key rather than by consuming the parent, so
 serial and parallel execution of the same layout give identical results.
+
+The package's one process-pool helper, :func:`_run_tasks`, lives here, at the
+bottom of the import graph, so that both the ratio study below and the batch
+experiments in :mod:`sixradii.experiments` fan out through it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -127,8 +131,66 @@ class ReciprocalPoint(NamedTuple):
     central_mean: float
 
 
+def _run_tasks(fn: Callable, tasks: list, workers: int) -> list:
+    """``[fn(task) for task in tasks]``, fanned out over up to ``workers`` processes.
+
+    The one batch-worker helper of the package: every batch that runs on
+    worker processes goes through it. Results come back in task order, so a
+    batch whose tasks draw from their own streams gives the same results at
+    any worker count.
+    """
+    if workers <= 1 or len(tasks) <= 1:
+        return [fn(task) for task in tasks]
+    # imported here, so that importing the package loads no process machinery
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+        return list(pool.map(fn, tasks))
+
+
+def _recip_point_worker(task) -> ReciprocalPoint:
+    key, j, cfg = task
+    stdev = cfg.denominator_stdevs[j]
+    generator = derive_child(RngState(key[0], tuple(key[1:])), j).generator
+    r0 = cfg.numerator_mean / cfg.denominator_mean
+    w = cfg.bin_width
+    half_bins = int(np.ceil(5.0 * abs(r0) / w))
+    # Two chunk buffers: the numerators (later the bin offsets) and the
+    # denominators (later the deviations ratio - r0).
+    size = min(cfg.samples_per_point, _STUDY_CHUNK)
+    num_buf, den_buf = np.empty(size), np.empty(size)
+    counts = np.zeros(2 * half_bins + 1, dtype=np.int64)
+    deviation_sum = 0.0
+    in_window = 0
+    remaining = cfg.samples_per_point
+    while remaining > 0:
+        n = min(remaining, _STUDY_CHUNK)
+        # standard_normal * stdev + mean is bit for bit normal(mean, stdev)
+        numerators, denominators = num_buf[:n], den_buf[:n]
+        generator.standard_normal(out=numerators)
+        numerators *= cfg.numerator_stdev
+        numerators += cfg.numerator_mean
+        generator.standard_normal(out=denominators)
+        denominators *= stdev
+        denominators += cfg.denominator_mean
+        with np.errstate(divide="ignore", invalid="ignore"):
+            deviations = np.divide(numerators, denominators, out=denominators)
+        deviations -= r0
+        offsets = np.rint(np.divide(deviations, w, out=numerators), out=numerators)
+        # NaN and +-inf offsets fail the comparison, so no isfinite mask is needed
+        keep = np.abs(offsets) <= half_bins
+        idx = offsets[keep].astype(np.int64) + half_bins
+        counts += np.bincount(idx, minlength=counts.size)
+        deviation_sum += float(np.sum(deviations[keep]))
+        in_window += int(np.count_nonzero(keep))
+        remaining -= n
+    peak = r0 + (int(np.argmax(counts)) - half_bins) * w
+    mean = r0 + deviation_sum / in_window if in_window else float("nan")
+    return ReciprocalPoint(float(stdev), peak, mean)
+
+
 def reciprocal_peak_curve(
-    cfg: ReciprocalStudyConfig, rng: RngState
+    cfg: ReciprocalStudyConfig, rng: RngState, workers: int = 1
 ) -> list[ReciprocalPoint]:
     """Peak location and clipped central mean of the ratio, per grid stdev.
 
@@ -140,44 +202,11 @@ def reciprocal_peak_curve(
     and mean describe the central mass. The mean is accumulated as deviations
     from r0, which keeps the degenerate all-constant grid point exact.
 
-    Each grid point draws from its own child stream, so extending the grid
-    does not disturb earlier points.
+    Grid point j draws from its own child stream ``derive_child(rng, j)`` in
+    chunks of at most ``_STUDY_CHUNK`` samples, so extending the grid does not
+    disturb earlier points. The points run as one task each on up to
+    ``workers`` processes through :func:`_run_tasks`; every result is the
+    same at any worker count.
     """
-    r0 = cfg.numerator_mean / cfg.denominator_mean
-    w = cfg.bin_width
-    half_bins = int(np.ceil(5.0 * abs(r0) / w))
-    # Two chunk buffers serve every grid point: the numerators (later the bin
-    # offsets) and the denominators (later the deviations ratio - r0).
-    size = min(cfg.samples_per_point, _STUDY_CHUNK)
-    num_buf, den_buf = np.empty(size), np.empty(size)
-    points: list[ReciprocalPoint] = []
-    for j, stdev in enumerate(cfg.denominator_stdevs):
-        generator = derive_child(rng, j).generator
-        counts = np.zeros(2 * half_bins + 1, dtype=np.int64)
-        deviation_sum = 0.0
-        in_window = 0
-        remaining = cfg.samples_per_point
-        while remaining > 0:
-            n = min(remaining, _STUDY_CHUNK)
-            # standard_normal * stdev + mean is bit for bit normal(mean, stdev)
-            numerators, denominators = num_buf[:n], den_buf[:n]
-            generator.standard_normal(out=numerators)
-            numerators *= cfg.numerator_stdev
-            numerators += cfg.numerator_mean
-            generator.standard_normal(out=denominators)
-            denominators *= stdev
-            denominators += cfg.denominator_mean
-            with np.errstate(divide="ignore", invalid="ignore"):
-                deviations = np.divide(numerators, denominators, out=denominators)
-            deviations -= r0
-            offsets = np.rint(np.divide(deviations, w, out=numerators), out=numerators)
-            keep = np.isfinite(offsets) & (np.abs(offsets) <= half_bins)
-            idx = offsets[keep].astype(np.int64) + half_bins
-            counts += np.bincount(idx, minlength=counts.size)
-            deviation_sum += float(np.sum(deviations[keep]))
-            in_window += int(np.count_nonzero(keep))
-            remaining -= n
-        peak = r0 + (int(np.argmax(counts)) - half_bins) * w
-        mean = r0 + deviation_sum / in_window if in_window else float("nan")
-        points.append(ReciprocalPoint(float(stdev), peak, mean))
-    return points
+    tasks = [(rng.key, j, cfg) for j in range(len(cfg.denominator_stdevs))]
+    return _run_tasks(_recip_point_worker, tasks, workers)

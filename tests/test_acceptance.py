@@ -151,7 +151,7 @@ def test_c07_continued_fractions():
 
 def test_c08_reciprocal_study_at_1e8():
     cfg = ReciprocalStudyConfig(samples_per_point=100_000_000)
-    points = reciprocal_peak_curve(cfg, rng_new(5))
+    points = reciprocal_peak_curve(cfg, rng_new(5), workers=4)
     peaks = [p.peak_location for p in points]
     means = [p.central_mean for p in points]
     ok_peaks = all(b <= a + cfg.bin_width for a, b in zip(peaks, peaks[1:]))

@@ -116,6 +116,8 @@ def test_campaign_whose_first_iteration_never_passes_the_mark_exits_two(
     (["recip", "--samples", "10"], "--samples"),
     (["recip", "--stdevs", "-0.1"], "--stdevs"),
     (["recip", "--den-mean", "nan"], "--den-mean"),
+    (["recip", "--threads", "-3"], "--threads"),
+    (["success", "--threads", "0"], "--threads"),
 ], ids=lambda value: value if isinstance(value, str) else value[0])
 def test_argument_errors_exit_two_naming_the_flag(argv, flag, tmp_path, capsys):
     out_dir = tmp_path / "out"

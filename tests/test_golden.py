@@ -111,6 +111,6 @@ def test_report_bytes_match_golden(case, tmp_path, capsys):
     assert report_digests(_CASES[case], tmp_path, capsys) == _GOLDEN[case]
 
 
-@pytest.mark.parametrize("case", ["budget", "grid", "success", "sweep-radius"])
+@pytest.mark.parametrize("case", ["budget", "grid", "recip", "success", "sweep-radius"])
 def test_report_bytes_independent_of_threads(case, tmp_path, capsys):
     assert report_digests(_CASES[case], tmp_path, capsys, threads=2) == _GOLDEN[case]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sixradii import stochastics
 from sixradii.stochastics import (
     ReciprocalStudyConfig,
     derive_child,
@@ -157,3 +158,51 @@ def test_reciprocal_trends_small_scale():
 def test_reciprocal_deterministic():
     cfg = ReciprocalStudyConfig(denominator_stdevs=(0.0, 0.1), samples_per_point=50_000)
     assert reciprocal_peak_curve(cfg, rng_new(3)) == reciprocal_peak_curve(cfg, rng_new(3))
+
+
+def _reference_point(cfg, rng, j):
+    """Grid point j of the ratio study, written plainly: ``normal(mean, stdev, n)``
+    on the same stream and chunks, with an explicit finiteness mask."""
+    generator = derive_child(rng, j).generator
+    stdev = cfg.denominator_stdevs[j]
+    r0 = cfg.numerator_mean / cfg.denominator_mean
+    half_bins = int(np.ceil(5.0 * abs(r0) / cfg.bin_width))
+    counts = np.zeros(2 * half_bins + 1, dtype=np.int64)
+    deviation_sum = 0.0
+    in_window = 0
+    chunk = stochastics._STUDY_CHUNK
+    for start in range(0, cfg.samples_per_point, chunk):
+        n = min(chunk, cfg.samples_per_point - start)
+        numerators = generator.normal(cfg.numerator_mean, cfg.numerator_stdev, n)
+        denominators = generator.normal(cfg.denominator_mean, stdev, n)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            deviations = numerators / denominators - r0
+        offsets = np.rint(deviations / cfg.bin_width)
+        keep = np.isfinite(offsets) & (np.abs(offsets) <= half_bins)
+        counts += np.bincount(offsets[keep].astype(np.int64) + half_bins,
+                              minlength=counts.size)
+        deviation_sum += float(np.sum(deviations[keep]))
+        in_window += int(np.count_nonzero(keep))
+    peak = r0 + (int(np.argmax(counts)) - half_bins) * cfg.bin_width
+    return peak, r0 + deviation_sum / in_window
+
+
+@pytest.mark.parametrize("stdev", [0.0, 0.2, 0.5, 2.0])
+def test_reciprocal_point_matches_reference(stdev, monkeypatch):
+    # 10,007 samples in chunks of 4,096: two full chunks and a partial one
+    monkeypatch.setattr(stochastics, "_STUDY_CHUNK", 4096)
+    cfg = ReciprocalStudyConfig(denominator_stdevs=(0.1, stdev), samples_per_point=10_007)
+    point = reciprocal_peak_curve(cfg, rng_new(11))[1]
+    assert (point.peak_location, point.central_mean) == _reference_point(cfg, rng_new(11), 1)
+
+
+@pytest.mark.parametrize("stdevs", [(0.1,), (0.0, 0.2), (0.0, 0.05, 0.1, 0.5, 2.0)],
+                         ids=lambda stdevs: f"{len(stdevs)}-point")
+def test_reciprocal_points_independent_of_workers(stdevs, monkeypatch, deadline):
+    # forked workers inherit the patched chunk size
+    monkeypatch.setattr(stochastics, "_STUDY_CHUNK", 4096)
+    cfg = ReciprocalStudyConfig(denominator_stdevs=stdevs, samples_per_point=10_007)
+    serial = reciprocal_peak_curve(cfg, rng_new(13))
+    with deadline(60):
+        for workers in (2, 7):
+            assert reciprocal_peak_curve(cfg, rng_new(13), workers=workers) == serial
