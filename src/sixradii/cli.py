@@ -117,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cf", parents=[common],
                        help="continued-fraction expansion and convergent")
     p.add_argument("--value", required=True,
-                   help="pi, pi/3, a rational like 111/106, or a decimal; the reported "
+                   help="pi, pi/3 (doubles), or exact text like 111/106 or 2.75; the reported "
                         "pi is 3 x the convergent, so it assumes the value approximates pi/3")
     p.add_argument("--terms", type=int, default=3)
     p.add_argument("--tolerance", type=float, default=0.0)
@@ -373,6 +373,7 @@ def _effect_range(cells, by_budget: bool) -> float:
 
 
 def _parse_cf_value(text: str) -> float | Fraction:
+    """``pi`` and ``pi/3`` as doubles; any other text as the exact rational it spells."""
     lowered = text.strip().lower()
     if lowered == "pi":
         return math.pi
@@ -383,12 +384,18 @@ def _parse_cf_value(text: str) -> float | Fraction:
             num, _, den = lowered.partition("/")
             value = Fraction(int(num), int(den))
         else:
+            # a double first, so that an exponent far outside its range is
+            # rejected before Fraction raises 10 to its power
             value = float(lowered)
-    except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"invalid value for --value: {text!r}") from None
-    if not 0 < value < math.inf:
-        raise ConfigError(f"invalid value for --value: {text!r} must be > 0 and finite")
-    return value
+            if 0 < value < math.inf:
+                value = Fraction(lowered)
+        # the report's pi estimate, 3 x the convergent, must be a finite double
+        if 0 < float(3 * value) < math.inf:
+            return value
+    except (ValueError, ZeroDivisionError, OverflowError):
+        pass
+    raise ConfigError(f"invalid value for --value: {text!r} is not pi, pi/3, or a p/q or "
+                      "decimal > 0 whose 3 x value is a finite double")
 
 
 def cmd_cf(args: argparse.Namespace, cfg: RunConfig) -> Report:

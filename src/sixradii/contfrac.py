@@ -2,9 +2,10 @@
 
 The measurement's two iteration counts are the first partial quotients of
 the continued fraction of pi/3 after the leading 1: pi/3 = [1; 21, 5, ...],
-and the convergent [1; 21, 5] is 111/106. These helpers expand reals or
-exact rationals, fold quotient lists back into rationals, and run the
-division-with-remainder loop directly on a pair of lengths.
+and the convergent [1; 21, 5] is 111/106. Every input, float or exact, is
+first written as an exact pair of integers; one integer division loop then
+expands it, and the same loop runs directly on a pair of lengths. Nothing is
+divided in floating point.
 """
 
 from __future__ import annotations
@@ -35,81 +36,56 @@ def cf_expand(
 
     a0 = floor(x), then recurse on 1/frac(x). Stops after ``max_terms``
     quotients or once the fractional part drops below ``tolerance`` (or hits
-    zero), in which case the expansion is exact. ``int`` and ``Fraction``
-    inputs are expanded in exact arithmetic; floats expand the float value
-    itself, so feed a Fraction when exact round-trips matter. A float
+    zero, in which case the expansion is exact). Every input is expanded in
+    exact arithmetic, a float as the exact binary value it holds. Since a
+    double only approximates the real it was computed from, a float
     expansion also stops, inexact, before a quotient whose convergent
-    denominator q has q**2 > 2**53 / x, past what a double resolves, whatever
+    denominator q has q**2 * x > 2**53, past what a double resolves, whatever
     ``max_terms`` is; quotients up to the first nonzero one are always kept.
     """
-    if x <= 0:
-        raise ValueError("x must be > 0")
+    if not 0 < x < math.inf:
+        raise ValueError("x must be > 0 and finite")
     if max_terms is not None and max_terms < 1:
         raise ValueError("max_terms must be >= 1")
     if not tolerance >= 0:
         raise ValueError("tolerance must be >= 0")
-    if isinstance(x, (int, Fraction)):
-        # r/q < tolerance, compared exactly in integers. Every r/q is below 1,
+    stop = None
+    if tolerance:
+        # r/b < tolerance, compared exactly in integers. Every r/b is below 1,
         # so a tolerance above 1 (even inf) acts like 1.
-        tn, td = Fraction(min(tolerance, 1)).as_integer_ratio()
-        p, q = Fraction(x).as_integer_ratio()
-        quotients, exact = _divide(p, q, max_terms, lambda r, b: r * td < tn * b)
-        return CFExpansion(tuple(quotients), exact)
-    quotients: list[int] = []
-    value = float(x)
-    exact = False
-    q_limit = _FLOAT_RESOLUTION / value  # largest resolvable q**2
-    q_prev, q = 1, 0  # convergent denominators k(n-2), k(n-1)
-    while max_terms is None or len(quotients) < max_terms:
-        a = math.floor(value)
-        q_prev, q = q, a * q + q_prev
-        if any(quotients) and q * q > q_limit:
-            break  # a double cannot resolve this quotient
-        quotients.append(int(a))
-        remainder = value - a
-        if remainder == 0.0 or remainder < tolerance:
-            exact = remainder == 0.0
-            break
-        value = 1.0 / remainder
+        tn, td = min(tolerance, 1).as_integer_ratio()
+        stop = lambda r, b: r * td < tn * b
+    p, d = x.as_integer_ratio()
+    quotients, exact = _divide(p, d, max_terms, stop, isinstance(x, float))
     return CFExpansion(tuple(quotients), exact)
 
 
 def _divide(
-    a: float | int, b: float | int, max_terms: int | None, stop: Callable
+    a: int, b: int, max_terms: int | None, stop: Callable | None, resolve: bool = False
 ) -> tuple[list[int], bool]:
-    """Repeated division with remainder of a by b, Euclid style.
+    """Repeated division with remainder of the integer a by the integer b.
 
-    Integer pairs divide exactly; any float divides in floating point.
     Stops after ``max_terms`` quotients, when a remainder reaches zero
-    (reported as True), or when ``stop(remainder, divisor)`` holds.
+    (reported as True), or when ``stop(remainder, divisor)`` holds. With
+    ``resolve``, a/b is a double's value and the loop also stops before the
+    first quotient past its resolution, once a nonzero quotient is kept.
     """
-    exact_arithmetic = isinstance(a, int) and isinstance(b, int)
+    p, d = a, b
+    k_prev, k = 1, 0  # convergent denominators k(n-2), k(n-1)
     quotients: list[int] = []
     while max_terms is None or len(quotients) < max_terms:
-        if exact_arithmetic:
-            q, r = divmod(a, b)
-        else:
-            q = math.floor(a / b)
-            r = a - q * b
-        quotients.append(int(q))
+        q, r = divmod(a, b)
+        if resolve:
+            k_prev, k = k, q * k + k_prev
+            if any(quotients) and k * k * p > _FLOAT_RESOLUTION * d:
+                break  # a double cannot resolve this quotient
+        quotients.append(q)
         if r == 0:
             return quotients, True
-        if stop(r, b):
+        if stop is not None and stop(r, b):
             break
         a, b = b, r
     return quotients, False
-
-
-def canonicalize(quotients: Sequence[int]) -> tuple[int, ...]:
-    """Collapse a trailing ``..., n, 1`` into ``..., n + 1`` for comparisons.
-
-    A finite continued fraction has two representations; this picks the one
-    without a trailing 1 (the single-term expansion [1] stays as is).
-    """
-    qs = list(quotients)
-    if len(qs) >= 2 and qs[-1] == 1:
-        qs = qs[:-2] + [qs[-2] + 1]
-    return tuple(qs)
 
 
 def convergent(quotients: Sequence[int]) -> Fraction:
@@ -130,8 +106,8 @@ def convergent(quotients: Sequence[int]) -> Fraction:
 
 
 def euclid_quotients(
-    a: float | int,
-    b: float | int,
+    a: float | int | Fraction,
+    b: float | int | Fraction,
     max_terms: int | None = None,
     tolerance: float = 0.0,
 ) -> list[int]:
@@ -140,20 +116,30 @@ def euclid_quotients(
     Stops at ``max_terms`` quotients or when the remainder falls below
     ``tolerance`` (always when it reaches zero). The tolerance is compared in
     the same absolute units as the inputs, mirroring a physical measurement
-    that discards a leftover too small to mean anything. Integer inputs with
-    tolerance 0 run Euclid's algorithm exactly.
+    that discards a leftover too small to mean anything. Both lengths are
+    first scaled to integers over one common denominator, so float lengths
+    run Euclid's algorithm exactly on the values they hold.
     """
-    if a <= 0 or b <= 0:
-        raise ValueError("both lengths must be > 0")
+    if not (0 < a < math.inf and 0 < b < math.inf):
+        raise ValueError("both lengths must be > 0 and finite")
     if max_terms is not None and max_terms < 1:
         raise ValueError("max_terms must be >= 1")
-    if tolerance < 0:
+    if not tolerance >= 0:
         raise ValueError("tolerance must be >= 0")
-    return _divide(a, b, max_terms, lambda r, _: r < tolerance)[0]
+    pa, da = a.as_integer_ratio()
+    pb, db = b.as_integer_ratio()
+    stop = None
+    if tolerance:
+        # r / (da * db) < tolerance, compared exactly in integers. Every
+        # remainder is below b, so a tolerance above b (even inf) acts like b.
+        tn, td = min(tolerance, b).as_integer_ratio()
+        den = da * db
+        stop = lambda r, _: r * td < tn * den
+    return _divide(pa * db, pb * da, max_terms, stop)[0]
 
 
 def pi_estimate(ratio: Fraction) -> float:
     """The pi value implied by a rational estimate of pi/3 (not of pi)."""
     if ratio <= 0:
         raise ValueError("ratio must be > 0")
-    return 3.0 * ratio.numerator / ratio.denominator
+    return float(3 * ratio)

@@ -282,10 +282,36 @@ def test_cf_small_float_value(capsys, tmp_path):
     assert out.startswith("quotients=[0,100000000] convergent=1/100000000 ")
 
 
-def test_cf_bad_value(capsys, tmp_path):
-    code, _, err = run(capsys, "cf", "--value", "x/y", "--out", str(tmp_path))
+def test_cf_decimal_text_is_exact(capsys, tmp_path):
+    # typed decimals expand as the rational they spell, not as the nearest double
+    code, _, _ = run(capsys, "cf", "--value", "2.75", "--out", str(tmp_path), *COMMON)
+    assert code == 0
+    results = json.loads((tmp_path / "cf.json").read_text())["results"]
+    assert results["quotients"] == [2, 1, 3]
+    assert results["exact"] is True
+
+
+def test_cf_subnormal_value(capsys, tmp_path):
+    code, out, _ = run(capsys, "cf", "--value", "1e-320", "--out", str(tmp_path), *COMMON)
+    assert code == 0
+    assert f"convergent=1/{10**320} " in out
+    assert json.loads((tmp_path / "cf.json").read_text())["results"]["pi_estimate"] == 3e-320
+
+
+def test_cf_spaced_ratio(capsys, tmp_path):
+    code, out, _ = run(capsys, "cf", "--value", "111 / 106", "--out", str(tmp_path), *COMMON)
+    assert code == 0
+    assert "convergent=111/106 " in out
+
+
+# 1.7e308 is a double, but 3 x 1.7e308 is not: its pi estimate would be inf
+@pytest.mark.parametrize("value", ["x/y", "1/0", "nan", "inf", "1e400", "1.7e308"])
+def test_cf_bad_value(value, capsys, tmp_path):
+    out_dir = tmp_path / "out"
+    code, _, err = run(capsys, "cf", "--value", value, "--out", str(out_dir))
     assert code == 2
-    assert "--value" in err
+    assert err.startswith("error: invalid value for --value: ")
+    assert not out_dir.exists()
 
 
 def test_recip_command(tmp_path, capsys):

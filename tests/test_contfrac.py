@@ -3,10 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sixradii.contfrac import (
     CFExpansion,
-    canonicalize,
     cf_expand,
     convergent,
     euclid_quotients,
@@ -36,16 +37,51 @@ def test_integer_input_is_exact():
 
 
 def test_hand_checkable_rational():
-    assert cf_expand(2.75, 3).quotients == (2, 1, 3)
+    # 2.75 is 11/4 exactly, so its float expansion ends with a zero remainder
+    assert cf_expand(2.75, 5) == CFExpansion((2, 1, 3), True)
 
 
 def test_small_float_keeps_resolvable_quotients():
-    # the resolution limit scales with x: a double resolves 1e-8 to ~1e-24
-    assert cf_expand(1e-8, 3) == cf_expand(1e-8) == CFExpansion((0, 100000000), True)
-    assert cf_expand(1e-4, 3).quotients == (0, 10000)
+    # A float expands the exact binary value it holds. The double nearest 1e-8
+    # lies just above 1/100000000, so it expands as [0; 99999999, 1, 477952964,
+    # ...] and stops at the double's resolution, which scales with x (~1e-24
+    # here), after the 1. The convergent is still 1/100000000. Before floats
+    # went through the integer loop, 1/frac(x) rounded to 100000000.0 and the
+    # expansion was reported as (0, 100000000), exact. Decimal text, which the
+    # CLI parses as a Fraction, still expands exactly.
+    assert cf_expand(1e-8, 3) == cf_expand(1e-8) == CFExpansion((0, 99999999, 1), False)
+    assert convergent(cf_expand(1e-8).quotients) == Fraction(1, 100000000)
+    assert cf_expand(1e-4, 3).quotients == (0, 9999, 1)
+    assert cf_expand(Fraction("1e-8")) == CFExpansion((0, 100000000), True)
     # below ~1e-16 the second quotient is past resolution but is still kept,
     # so the convergent stays positive
     assert convergent(cf_expand(3e-17, 3).quotients) > 0
+
+
+def test_subnormal_float_returns(deadline):
+    # x = p/d stays an integer pair, so no reciprocal of a subnormal overflows
+    with deadline(5):
+        smallest = cf_expand(5e-324)
+        tiny = cf_expand(1e-320, None)
+    assert smallest == CFExpansion((0, 2**1074), True)
+    assert tiny.quotients[0] == 0 and len(tiny.quotients) == 2
+    assert convergent(tiny.quotients) > 0
+
+
+finite_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@given(x=finite_positive, max_terms=st.one_of(st.none(), st.integers(1, 40)))
+@settings(max_examples=300, deadline=None)
+def test_float_expansion_is_a_prefix_of_the_exact_one(x, max_terms):
+    quotients = cf_expand(x, max_terms).quotients
+    assert quotients == cf_expand(Fraction(x)).quotients[: len(quotients)]
+
+
+@given(a=finite_positive, b=finite_positive)
+@settings(max_examples=300, deadline=None)
+def test_euclid_on_floats_is_exact(a, b):
+    assert euclid_quotients(a, b) == list(cf_expand(Fraction(a) / Fraction(b)).quotients)
 
 
 def test_exact_fraction_expansion():
@@ -59,6 +95,10 @@ def test_cf_expand_validation():
         cf_expand(0.0)
     with pytest.raises(ValueError):
         cf_expand(-1.5)
+    with pytest.raises(ValueError):
+        cf_expand(math.inf)
+    with pytest.raises(ValueError):
+        cf_expand(math.nan)
     with pytest.raises(ValueError):
         cf_expand(2.0, max_terms=0)
     with pytest.raises(ValueError):
@@ -107,12 +147,19 @@ def test_euclid_validation():
         euclid_quotients(0, 5)
     with pytest.raises(ValueError):
         euclid_quotients(5, -1)
+    with pytest.raises(ValueError):
+        euclid_quotients(5, math.inf)
+    with pytest.raises(ValueError):
+        euclid_quotients(5, 3, tolerance=math.nan)
 
 
 def test_euclid_tolerance_stops_early():
     # remainder below the tolerance is treated as measurement noise
     quotients = euclid_quotients(10.2, 2.0, tolerance=0.5)
     assert quotients == [5]
+    # every remainder is below b, so a tolerance past b acts like b
+    assert euclid_quotients(10.2, 2.0, tolerance=math.inf) == [5]
+    assert euclid_quotients(Fraction(21, 2), 2, tolerance=Fraction(1, 2)) == [5, 4]
 
 
 def test_pi_estimate_convention():
@@ -120,14 +167,10 @@ def test_pi_estimate_convention():
     assert pi_estimate(Fraction(111, 106)) == pytest.approx(3.141509, abs=5e-7)
     assert pi_estimate(Fraction(1, 1)) == 3.0
     assert pi_estimate(Fraction(333, 106)) == pytest.approx(3 * 333 / 106)
+    # correctly rounded even where the denominator has no double
+    assert pi_estimate(Fraction(1, 10**320)) == 3e-320
     with pytest.raises(ValueError):
         pi_estimate(Fraction(-1, 2))
-
-
-def test_canonicalize_collapses_trailing_one():
-    assert canonicalize((1, 21, 4, 1)) == (1, 21, 5)
-    assert canonicalize((1,)) == (1,)
-    assert canonicalize((2, 1)) == (3,)
 
 
 def test_roundtrip_small_sweep():

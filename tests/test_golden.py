@@ -29,6 +29,7 @@ _CASES = {
              "--seed", "7"],
     "cf-float": ["cf", "--value", "pi/3", "--terms", "4"],
     "cf-exact": ["cf", "--value", "333/106", "--terms", "8", "--tolerance", "0.1"],
+    "cf-decimal": ["cf", "--value", "0.00000001", "--terms", "5"],
     "recip": ["recip", "--samples", "20000", "--stdevs", "0,0.1", "--seed", "7"],
 }
 
@@ -48,6 +49,11 @@ _GOLDEN = {
         "campaign.json": "610c876d2890125525fee3b6bfa6b35dae1757d1ccda28214574443aee5ce0af",
         "campaign.svg": "988692e6df824468abf0f7f5697587d8b91c911d902eabcb2d2cea68cefe0738",
         "stdout": "3b6dbc646c6db85d3d035df8888e7640a3c3b2f8c39d484802f8223e4c71fb43",
+    },
+    "cf-decimal": {
+        "cf.csv": "a2337d6cad19f0087ee3b5fd00a3f49f9d103c77a7c129ff48a7e1aeab0f7761",
+        "cf.json": "92c0c108186d29b2a52073ae70d9536d7491609bf1450e200ced9256ade792b8",
+        "stdout": "fec28cc235aa4293e09ce39cea715b130162da90c79745f2c52723e479e52180",
     },
     "cf-exact": {
         "cf.csv": "9a60f7011f4d666b065465cd534d561d5101b97f3607028aedbac67aa0cb0323",
