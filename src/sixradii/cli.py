@@ -309,7 +309,7 @@ def cmd_budget(args: argparse.Namespace, cfg: RunConfig) -> Report:
 
 
 def cmd_ablate(args: argparse.Namespace, cfg: RunConfig) -> Report:
-    mode = AblationMode.from_name(args.mode)
+    mode = AblationMode(args.mode)
     distribution = ablation_distribution(cfg.trial, mode, args.trials, cfg.seed)
     rendered = ", ".join(f"{k}: {v:.3f}" for k, v in sorted(distribution.items()))
     return Report(
@@ -401,6 +401,11 @@ def _parse_cf_value(text: str) -> float | Fraction:
 def cmd_cf(args: argparse.Namespace, cfg: RunConfig) -> Report:
     value = _parse_cf_value(args.value)
     expansion = cf_expand(value, args.terms, args.tolerance)
+    if expansion.quotients == (0,):
+        # a value below 1 cut after its leading 0: the convergent 0 estimates no pi
+        flag = "--terms" if args.terms == 1 else "--tolerance"
+        raise ConfigError(f"invalid value for {flag}: the expansion of {args.value!r} "
+                          "stops at [0], whose convergent 0 gives no pi estimate")
     ratio = convergent(expansion.quotients)
     pi_value = pi_estimate(ratio)
     quotients = ",".join(str(q) for q in expansion.quotients)

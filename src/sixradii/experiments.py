@@ -3,11 +3,12 @@
 Every experiment is a pure function of its configuration and seed. Streams
 are addressed by path: campaign c of a batch runs on ``(seed, c)``, grid cell
 k on ``(seed, k)`` with its campaigns on ``(seed, k, c)``, radius i of a
-sweep on ``(seed, i)``, and each adds the index of its trial block. Batches
-can therefore be chunked across processes and merged by index with results
-identical to a serial run. They fan out through the package's one
-process-pool helper, :func:`~sixradii.stochastics._run_tasks`, and run trials
-through the block kernel, :func:`~sixradii.measurement.trial_block`.
+sweep on ``(seed, i)``, and each adds the index of its trial block. Each
+batch is one worker ``fn(rng, item)`` and one call of the package's one
+batch-worker helper, :func:`~sixradii.stochastics._run_tasks`, which runs
+item i on child stream i of the batch root. Batches can therefore be chunked
+across processes with results identical to a serial run. Trials run through
+the block kernel, :func:`~sixradii.measurement.trial_block`.
 """
 
 from __future__ import annotations
@@ -34,14 +35,6 @@ class AblationMode(Enum):
     FIXED_ONLY = "fixed-only"
     RANDOM_ONLY = "random-only"
     NONE = "none"
-
-    @classmethod
-    def from_name(cls, name: str) -> "AblationMode":
-        normalized = name.strip().lower().replace("_", "-")
-        for mode in cls:
-            if mode.value == normalized:
-                return mode
-        raise ValueError(f"unknown ablation mode: {name!r}")
 
 
 def apply_ablation(model: ErrorModel, mode: AblationMode) -> ErrorModel:
@@ -105,21 +98,11 @@ class GridCell(NamedTuple):
     success_fraction: float
 
 
-def _split_ranges(n: int, parts: int) -> list[tuple[int, int]]:
-    parts = max(1, min(parts, n))
-    step = math.ceil(n / parts)
-    return [(start, min(start + step, n)) for start in range(0, n, step)]
-
-
-def _campaign_range_worker(task) -> list[CampaignOutcome]:
-    key, start, stop, cfg, criteria, max_measurements = task
-    root = RngState(key[0], tuple(key[1:]))
-    outcomes = []
-    for i in range(start, stop):
-        result = run_campaign(derive_child(root, i), cfg, criteria, max_measurements)
-        selected = result.selected if criteria is not None else result.histogram.peak_bin()
-        outcomes.append(CampaignOutcome(selected, result.measurements, result.discarded))
-    return outcomes
+def _campaign_worker(rng: RngState, item: tuple) -> CampaignOutcome:
+    cfg, criteria, max_measurements = item
+    result = run_campaign(rng, cfg, criteria, max_measurements)
+    selected = result.selected if criteria is not None else result.histogram.peak_bin()
+    return CampaignOutcome(selected, result.measurements, result.discarded)
 
 
 def run_campaign_batch(
@@ -139,12 +122,8 @@ def run_campaign_batch(
     if n_campaigns < 1:
         raise ValueError("n_campaigns must be >= 1")
     root = seed if isinstance(seed, RngState) else rng_new(seed)
-    tasks = [
-        (root.key, start, stop, cfg, criteria, max_measurements)
-        for start, stop in _split_ranges(n_campaigns, workers * 4)
-    ]
-    chunks = _run_tasks(_campaign_range_worker, tasks, workers)
-    return [outcome for chunk in chunks for outcome in chunk]
+    items = [(cfg, criteria, max_measurements)] * n_campaigns
+    return _run_tasks(_campaign_worker, root, items, workers)
 
 
 def summarize_success(outcomes: Sequence[CampaignOutcome]) -> SuccessStats:
@@ -197,10 +176,9 @@ def _trial_blocks(rng: RngState, cfg: TrialConfig, n_trials: int):
         yield first[:rows], second[:rows]
 
 
-def _radius_sweep_worker(task) -> RadiusSweepPoint:
-    key, radius_index, radius, trials, cfg = task
-    radius_stream = derive_child(RngState(key[0], key[1:]), radius_index)
-    blocks = _trial_blocks(radius_stream, replace(cfg, radius=radius), trials)
+def _radius_sweep_worker(rng: RngState, item: tuple) -> RadiusSweepPoint:
+    radius, trials, cfg = item
+    blocks = _trial_blocks(rng, replace(cfg, radius=radius), trials)
     hits = sum(int(np.count_nonzero(first == 21)) for first, _ in blocks)
     return RadiusSweepPoint(radius, hits / trials)
 
@@ -217,18 +195,14 @@ def radius_first_iteration_sweep(
         raise ValueError("radii must be non-empty")
     if trials_per_radius < 1:
         raise ValueError("trials_per_radius must be >= 1")
-    root = rng_new(seed)
-    tasks = [
-        (root.key, i, float(radius), trials_per_radius, cfg_template)
-        for i, radius in enumerate(radii)
-    ]
-    return _run_tasks(_radius_sweep_worker, tasks, workers)
+    items = [(float(radius), trials_per_radius, cfg_template) for radius in radii]
+    return _run_tasks(_radius_sweep_worker, rng_new(seed), items, workers)
 
 
-def _grid_cell_worker(task) -> GridCell:
-    radius, budget, campaigns, seed, k, cfg = task
+def _grid_cell_worker(rng: RngState, item: tuple) -> GridCell:
+    radius, budget, campaigns, cfg = item
     cfg_cell = replace(cfg, radius=radius)
-    stats = fixed_budget_success(cfg_cell, budget, campaigns, derive_child(rng_new(seed), k))
+    stats = fixed_budget_success(cfg_cell, budget, campaigns, rng)
     return GridCell(radius, budget, stats.success_fraction)
 
 
@@ -247,8 +221,8 @@ def radius_budget_grid(
             f"{len(cells)} cells x {spec.campaigns_per_cell} campaigns exceeds "
             f"cost cap {spec.cost_cap}"
         )
-    tasks = [
-        (float(radius), int(budget), spec.campaigns_per_cell, spec.base_seed, k, cfg_template)
-        for k, (radius, budget) in enumerate(cells)
+    items = [
+        (float(radius), int(budget), spec.campaigns_per_cell, cfg_template)
+        for radius, budget in cells
     ]
-    return _run_tasks(_grid_cell_worker, tasks, workers)
+    return _run_tasks(_grid_cell_worker, rng_new(spec.base_seed), items, workers)

@@ -23,16 +23,15 @@ _CAMPAIGN_TRIAL_LIMIT = 1_000_000
 
 
 class Histogram:
-    """Counts of integer outcomes over a fixed window, with under/overflow."""
+    """Counts of integer outcomes over the window 1..WINDOW_HI, with under/overflow."""
 
-    __slots__ = ("lo", "hi", "counts", "underflow", "overflow")
+    __slots__ = ("counts", "underflow", "overflow")
 
-    def __init__(self, lo: int = 1, hi: int = WINDOW_HI):
-        if lo > hi:
-            raise ValueError("window lo must be <= hi")
-        self.lo = lo
-        self.hi = hi
-        self.counts = [0] * (hi - lo + 1)
+    lo = 1
+    hi = WINDOW_HI
+
+    def __init__(self):
+        self.counts = [0] * (self.hi - self.lo + 1)
         self.underflow = 0
         self.overflow = 0
 

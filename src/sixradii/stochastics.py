@@ -6,15 +6,19 @@ state with the same key replays the same samples bit for bit, and child
 streams are derived from the key rather than by consuming the parent, so
 serial and parallel execution of the same layout give identical results.
 
-The package's one process-pool helper, :func:`_run_tasks`, lives here, at the
+The package's one batch-worker helper, :func:`_run_tasks`, lives here, at the
 bottom of the import graph, so that both the ratio study below and the batch
-experiments in :mod:`sixradii.experiments` fan out through it.
+experiments in :mod:`sixradii.experiments` fan out through it. A batch is a
+root stream and a list of items, and item i runs on child stream i of the
+root, whichever process runs it; a pool worker is sent the root's key and
+the index and rebuilds that child itself.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -131,27 +135,41 @@ class ReciprocalPoint(NamedTuple):
     central_mean: float
 
 
-def _run_tasks(fn: Callable, tasks: list, workers: int) -> list:
-    """``[fn(task) for task in tasks]``, fanned out over up to ``workers`` processes.
+def _run_task(fn: Callable, key: tuple[int, ...], index: int, item):
+    """``fn`` on child stream ``index`` of the batch root ``key``, and ``item``.
 
-    The one batch-worker helper of the package: every batch that runs on
-    worker processes goes through it. Results come back in task order, so a
-    batch whose tasks draw from their own streams gives the same results at
-    any worker count.
+    A pool worker runs each item through here. It is the one place a stream
+    is rebuilt from its key. ``derive_child`` is looked up as a module global,
+    so a wrapper installed there sees every call.
     """
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(task) for task in tasks]
+    return fn(derive_child(RngState(key[0], key[1:]), index), item)
+
+
+def _run_tasks(fn: Callable, root: RngState, items: list, workers: int) -> list:
+    """``[fn(derive_child(root, i), item) for i, item in enumerate(items)]``.
+
+    The one batch-worker helper of the package: every batch goes through it,
+    on up to ``workers`` processes. Item i always runs on child stream i of
+    ``root`` and results come back in item order, so a batch gives the same
+    results at any worker count. A worker receives the root's key and the
+    item's index, not a stream, and rebuilds the stream in :func:`_run_task`.
+    Items go out in about four chunks per worker: enough to even out items
+    of uneven cost, few enough to keep the round trips cheap.
+    """
+    if workers <= 1 or len(items) <= 1:
+        return [fn(derive_child(root, i), item) for i, item in enumerate(items)]
     # imported here, so that importing the package loads no process machinery
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-        return list(pool.map(fn, tasks))
+    chunksize = max(1, len(items) // (4 * workers))
+    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
+        task = partial(_run_task, fn, root.key)
+        return list(pool.map(task, range(len(items)), items, chunksize=chunksize))
 
 
-def _recip_point_worker(task) -> ReciprocalPoint:
-    key, j, cfg = task
-    stdev = cfg.denominator_stdevs[j]
-    generator = derive_child(RngState(key[0], tuple(key[1:])), j).generator
+def _recip_point_worker(rng: RngState, item: tuple) -> ReciprocalPoint:
+    cfg, stdev = item
+    generator = rng.generator
     r0 = cfg.numerator_mean / cfg.denominator_mean
     w = cfg.bin_width
     half_bins = int(np.ceil(5.0 * abs(r0) / w))
@@ -202,11 +220,11 @@ def reciprocal_peak_curve(
     and mean describe the central mass. The mean is accumulated as deviations
     from r0, which keeps the degenerate all-constant grid point exact.
 
-    Grid point j draws from its own child stream ``derive_child(rng, j)`` in
-    chunks of at most ``_STUDY_CHUNK`` samples, so extending the grid does not
-    disturb earlier points. The points run as one task each on up to
-    ``workers`` processes through :func:`_run_tasks`; every result is the
-    same at any worker count.
+    Grid point j is item j of one :func:`_run_tasks` batch, on up to
+    ``workers`` processes. It draws from child stream ``derive_child(rng, j)``
+    in chunks of at most ``_STUDY_CHUNK`` samples, so extending the grid does
+    not disturb earlier points, and every result is the same at any worker
+    count.
     """
-    tasks = [(rng.key, j, cfg) for j in range(len(cfg.denominator_stdevs))]
-    return _run_tasks(_recip_point_worker, tasks, workers)
+    items = [(cfg, stdev) for stdev in cfg.denominator_stdevs]
+    return _run_tasks(_recip_point_worker, rng, items, workers)

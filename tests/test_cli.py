@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -132,6 +136,25 @@ def test_unknown_flag_exits_two():
     with pytest.raises(SystemExit) as excinfo:
         main(["trial", "--no-such-flag", "1"])
     assert excinfo.value.code == 2
+
+
+def test_unknown_ablation_mode_exits_two(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["ablate", "--mode", "bogus", "--out", str(out_dir)])
+    assert excinfo.value.code == 2
+    assert "--mode" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_importing_the_cli_loads_no_process_machinery():
+    # the pool is imported when a batch first fans out, not at start-up
+    probe = ("import sys, sixradii.cli; "
+             "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=env, check=True)
+    assert result.stdout == "[]\n"
 
 
 def test_unknown_config_key_exits_two(tmp_path, capsys):
@@ -311,6 +334,20 @@ def test_cf_bad_value(value, capsys, tmp_path):
     code, _, err = run(capsys, "cf", "--value", value, "--out", str(out_dir))
     assert code == 2
     assert err.startswith("error: invalid value for --value: ")
+    assert not out_dir.exists()
+
+
+# a value below 1 cut after its leading quotient 0 has the convergent 0
+@pytest.mark.parametrize("extra, flag", [
+    (["--terms", "1"], "--terms"),
+    (["--tolerance", "0.9"], "--tolerance"),
+], ids=lambda value: value if isinstance(value, str) else value[0])
+def test_cf_cut_at_leading_zero_exits_two(extra, flag, capsys, tmp_path):
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "cf", "--value", "0.5", *extra, "--out", str(out_dir))
+    assert code == 2
+    assert err.startswith(f"error: invalid value for {flag}: ")
+    assert out == ""
     assert not out_dir.exists()
 
 

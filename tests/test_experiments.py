@@ -21,10 +21,11 @@ from sixradii.stochastics import derive_child, rng_new
 
 
 def test_ablation_mode_parsing():
-    assert AblationMode.from_name("fixed-only") is AblationMode.FIXED_ONLY
-    assert AblationMode.from_name("RANDOM_ONLY") is AblationMode.RANDOM_ONLY
+    # the CLI's --mode choices are exactly these values, looked up as given
+    assert [m.value for m in AblationMode] == ["all", "fixed-only", "random-only", "none"]
+    assert AblationMode("fixed-only") is AblationMode.FIXED_ONLY
     with pytest.raises(ValueError):
-        AblationMode.from_name("bogus")
+        AblationMode("RANDOM_ONLY")
 
 
 def test_apply_ablation_toggles():
@@ -73,6 +74,22 @@ def test_fixed_budget_batch_parallel_matches_serial():
     serial = run_campaign_batch(cfg, None, 12, 5, 30, workers=1)
     parallel = run_campaign_batch(cfg, None, 12, 5, 30, workers=3)
     assert serial == parallel
+
+
+def test_chunked_batches_match_serial():
+    # 41 campaigns go out in chunks of 5 at two workers and of 3 at three, and
+    # 18 grid cells in chunks of 2: every chunk must keep its items' batch
+    # indices and come back in order
+    serial = run_campaign_batch(TrialConfig(), None, 41, 5, 20, workers=1)
+    assert len({(o.selected, o.discarded) for o in serial}) > 1
+    for workers in (2, 3):
+        assert run_campaign_batch(TrialConfig(), None, 41, 5, 20, workers=workers) == serial
+    spec = SweepSpec(radii=(200.0, 450.0, 900.0), budgets=(1, 2, 3, 5, 8, 13),
+                     campaigns_per_cell=4, base_seed=3)
+    cells = radius_budget_grid(spec, workers=1)
+    assert len(cells) == 18
+    assert len({c.success_fraction for c in cells}) > 1
+    assert radius_budget_grid(spec, workers=2) == cells
 
 
 def test_summarize_success_counts_no_decision_as_failure():
