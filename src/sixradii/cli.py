@@ -322,8 +322,8 @@ def cmd_ablate(args: argparse.Namespace, cfg: RunConfig) -> Report:
 
 def cmd_sweep_radius(args: argparse.Namespace, cfg: RunConfig) -> Report:
     radii = _parse_list(args.radii, "--radii")
-    if not min(radii) > 0:
-        raise ConfigError("invalid value for --radii: radius must be > 0")
+    if not all(0 < r < math.inf for r in radii):
+        raise ConfigError("invalid value for --radii: radius must be finite and > 0")
     points = radius_first_iteration_sweep(
         radii, args.trials_per_radius, cfg.trial, cfg.seed, workers=args.threads
     )

@@ -51,8 +51,8 @@ class ErrorModel:
     random_errors_enabled: bool = True
 
     def __post_init__(self) -> None:
-        if self.wire_diameter <= 0:
-            raise ValueError("wire_diameter must be > 0")
+        if not 0 < self.wire_diameter < math.inf:
+            raise ValueError("wire_diameter must be finite and > 0")
         for name in (
             "bend_elongation_per_mm",
             "cut_elongation",
@@ -61,8 +61,8 @@ class ErrorModel:
             "circumference_stdev_base",
             "circumference_stdev_slope",
         ):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
 
     def bend_elongation(self) -> float:
         """Straightened-length excess of a wire cut to fit the full circle.

@@ -5,10 +5,11 @@ are addressed by path: campaign c of a batch runs on ``(seed, c)``, grid cell
 k on ``(seed, k)`` with its campaigns on ``(seed, k, c)``, radius i of a
 sweep on ``(seed, i)``, and each adds the index of its trial block. Each
 batch is one worker ``fn(rng, item)`` and one call of the package's one
-batch-worker helper, :func:`~sixradii.stochastics._run_tasks`, which runs
-item i on child stream i of the batch root. Batches can therefore be chunked
-across processes with results identical to a serial run. Trials run through
-the block kernel, :func:`~sixradii.measurement.trial_block`.
+batch-worker helper, :func:`~sixradii.stochastics._run_tasks`, which
+derives child stream i of the batch root for item i and sends each worker
+its items with their streams. Batches can therefore be chunked across
+processes with results identical to a serial run. Trials come from
+:func:`~sixradii.measurement.trial_blocks`, one block kernel call per block.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ import numpy as np
 
 from .errors import ErrorModel
 from .histogram import StoppingCriteria, run_campaign
-from .measurement import BLOCK_TRIALS, WINDOW_HI, TrialConfig, trial_block
-from .stochastics import RngState, _run_tasks, derive_child, rng_new
+from .measurement import WINDOW_HI, TrialConfig, trial_blocks
+from .stochastics import RngState, _run_tasks, rng_new
 
 
 class CostCapError(RuntimeError):
@@ -59,8 +60,8 @@ class SweepSpec:
     cost_cap: int = 100_000
 
     def __post_init__(self) -> None:
-        if not self.radii or any(r <= 0 for r in self.radii):
-            raise ValueError("radii must be non-empty and positive")
+        if not self.radii or not all(0 < r < math.inf for r in self.radii):
+            raise ValueError("radii must be non-empty, finite and positive")
         if not self.budgets or any(b < 1 for b in self.budgets):
             raise ValueError("budgets must be non-empty and >= 1")
         if self.campaigns_per_cell < 1:
@@ -163,22 +164,14 @@ def ablation_distribution(
         raise ValueError("n_trials must be >= 1")
     ablated = replace(cfg, error_model=apply_ablation(cfg.error_model, mode))
     counts = sum(np.bincount(second[first == 21], minlength=WINDOW_HI + 2)
-                 for first, second in _trial_blocks(rng_new(seed), ablated, n_trials))
+                 for first, second in trial_blocks(rng_new(seed), ablated, n_trials))
     kept = int(counts.sum())
     return {q: int(c) / kept for q, c in enumerate(counts) if c}
 
 
-def _trial_blocks(rng: RngState, cfg: TrialConfig, n_trials: int):
-    """First and second quotients of the first n trials of ``rng``'s trial blocks, by block."""
-    for b in range(-(-n_trials // BLOCK_TRIALS)):
-        first, second = trial_block(derive_child(rng, b), cfg)
-        rows = n_trials - b * BLOCK_TRIALS
-        yield first[:rows], second[:rows]
-
-
 def _radius_sweep_worker(rng: RngState, item: tuple) -> RadiusSweepPoint:
     radius, trials, cfg = item
-    blocks = _trial_blocks(rng, replace(cfg, radius=radius), trials)
+    blocks = trial_blocks(rng, replace(cfg, radius=radius), trials)
     hits = sum(int(np.count_nonzero(first == 21)) for first, _ in blocks)
     return RadiusSweepPoint(radius, hits / trials)
 

@@ -12,12 +12,13 @@ reference. A campaign takes its trials a block at a time and runs
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .measurement import BLOCK_TRIALS, WINDOW_HI, DegenerateConfigError, TrialConfig, trial_block
-from .stochastics import RngState, derive_child
+from .measurement import BLOCK_TRIALS, WINDOW_HI, DegenerateConfigError, TrialConfig, trial_blocks
+from .stochastics import RngState
 
 _CAMPAIGN_TRIAL_LIMIT = 1_000_000
 
@@ -113,8 +114,8 @@ class StoppingCriteria:
     def __post_init__(self) -> None:
         if self.min_peak_count < 1:
             raise ValueError("min_peak_count must be >= 1")
-        if self.peak_dominance <= 1.0:
-            raise ValueError("peak_dominance must be > 1")
+        if not 1.0 < self.peak_dominance < math.inf:
+            raise ValueError("peak_dominance must be finite and > 1")
         if self.min_consecutive_bins < 1:
             raise ValueError("min_consecutive_bins must be >= 1")
         if not 0.0 < self.bin_threshold_fraction < 1.0:
@@ -229,9 +230,9 @@ def run_campaign(
     Trials whose first quotient is not 21 are discarded: they are counted but
     neither recorded in the histogram nor charged against the measurement
     budget. The rule is evaluated after every recorded measurement. Trials
-    come in blocks of ``BLOCK_TRIALS``, block b from child stream b of
-    ``rng``, so a campaign is a pure function of the stream key and the
-    configuration, and a campaign that stops early is a prefix of a longer one.
+    come from :func:`~sixradii.measurement.trial_blocks` of ``rng``, so a
+    campaign is a pure function of the stream key and the configuration, and
+    a campaign that stops early is a prefix of a longer one.
 
     ``criteria=None`` never stops: the campaign records exactly
     ``max_measurements`` and ``selected`` stays None (a fixed-budget campaign
@@ -243,15 +244,14 @@ def run_campaign(
     recorded = 0
     trials = 0
     selected = None
-    block = 0
+    blocks = trial_blocks(rng, cfg)
     while recorded < max_measurements and selected is None:
         if trials >= _CAMPAIGN_TRIAL_LIMIT:
             raise DegenerateConfigError(
                 "campaign exceeded the trial limit without recording enough "
                 "measurements; first iteration almost never yields 21"
             )
-        first, second = trial_block(derive_child(rng, block), cfg)
-        block += 1
+        first, second = next(blocks)
         kept = np.flatnonzero(first == 21)[: max_measurements - recorded]
         values = second[kept]
         stop = stopping_prefix(hist, values, criteria) if criteria is not None else None

@@ -10,11 +10,12 @@ The model is written twice. :func:`simulate_trial` and the functions it
 calls run one trial at a time and are the readable reference; the ``trial``
 command uses them. :func:`trial_block` runs ``BLOCK_TRIALS`` trials at once
 from one stream, with the same boundary branches and rounding; campaigns,
-ablations and the radius sweep use it.
+ablations and the radius sweep take their blocks from :func:`trial_blocks`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -22,7 +23,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ErrorModel
-from .stochastics import RngState, normal_block, sample_normal, sample_uniform, uniform_block
+from .stochastics import (RngState, derive_child, normal_block, sample_normal, sample_uniform,
+                          uniform_block)
 
 _RUNAWAY_LIMIT = 1_000_000
 _BLOCK = 64
@@ -50,8 +52,8 @@ class TrialConfig:
     literal_rounding: bool = False
 
     def __post_init__(self) -> None:
-        if self.radius <= 0:
-            raise ValueError("radius must be > 0")
+        if not 0 < self.radius < math.inf:
+            raise ValueError("radius must be finite and > 0")
 
     @property
     def six_r(self) -> float:
@@ -314,3 +316,12 @@ def trial_block(rng: RngState, cfg: TrialConfig) -> tuple[np.ndarray, np.ndarray
     second[short & ~longer] = WINDOW_HI + 1
     second[remainder <= 0] = 0
     return first, second
+
+
+def trial_blocks(rng: RngState, cfg: TrialConfig, n_trials: int | None = None):
+    """:func:`trial_block` of child stream b of ``rng`` for b = 0, 1, ..., cut to
+    ``n_trials`` rows in all; with None the blocks never end."""
+    for b in itertools.count() if n_trials is None else range(-(-n_trials // BLOCK_TRIALS)):
+        first, second = trial_block(derive_child(rng, b), cfg)
+        rows = None if n_trials is None else n_trials - b * BLOCK_TRIALS
+        yield first[:rows], second[:rows]

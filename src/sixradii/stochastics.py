@@ -10,15 +10,15 @@ The package's one batch-worker helper, :func:`_run_tasks`, lives here, at the
 bottom of the import graph, so that both the ratio study below and the batch
 experiments in :mod:`sixradii.experiments` fan out through it. A batch is a
 root stream and a list of items, and item i runs on child stream i of the
-root, whichever process runs it; a pool worker is sent the root's key and
-the index and rebuilds that child itself.
+root, whichever process runs it. The caller derives the children, and a
+pool worker is sent each child as its address: a state builds its numpy
+generator on its first draw.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -32,15 +32,21 @@ _STUDY_CHUNK = 4_000_000
 class RngState:
     """A seeded random stream identified by (seed, derivation path)."""
 
-    __slots__ = ("seed", "path", "generator")
+    __slots__ = ("seed", "path", "_generator")
 
     def __init__(self, seed: int, path: tuple[int, ...] = ()):
         if not 0 <= int(seed) < _MAX_SEED:
             raise ValueError("seed must be a 64-bit unsigned integer")
         self.seed = int(seed)
         self.path = tuple(int(p) for p in path)
-        sequence = np.random.SeedSequence(entropy=self.seed, spawn_key=self.path)
-        self.generator = np.random.Generator(np.random.PCG64(sequence))
+
+    @property
+    def generator(self) -> np.random.Generator:
+        """The stream's numpy generator, built on its first draw."""
+        if not hasattr(self, "_generator"):
+            sequence = np.random.SeedSequence(entropy=self.seed, spawn_key=self.path)
+            self._generator = np.random.Generator(np.random.PCG64(sequence))
+        return self._generator
 
     @property
     def key(self) -> tuple[int, ...]:
@@ -115,18 +121,20 @@ class ReciprocalStudyConfig:
         # written so that a NaN fails every check
         if not -math.inf < self.numerator_mean < math.inf:
             raise ValueError("numerator_mean must be finite")
-        if not self.denominator_mean > 0:
-            raise ValueError("denominator_mean must be > 0")
-        if not self.numerator_stdev >= 0:
-            raise ValueError("numerator_stdev must be >= 0")
+        if not 0 < self.denominator_mean < math.inf:
+            raise ValueError("denominator_mean must be finite and > 0")
+        if not abs(self.numerator_mean / self.denominator_mean) < math.inf:
+            raise ValueError("numerator_mean / denominator_mean must be finite")
+        if not 0 <= self.numerator_stdev < math.inf:
+            raise ValueError("numerator_stdev must be finite and >= 0")
         if not self.denominator_stdevs:
             raise ValueError("denominator_stdevs must be non-empty")
-        if not all(s >= 0 for s in self.denominator_stdevs):
-            raise ValueError("denominator_stdevs must all be >= 0")
+        if not all(0 <= s < math.inf for s in self.denominator_stdevs):
+            raise ValueError("denominator_stdevs must all be finite and >= 0")
         if self.samples_per_point < 10_000:
             raise ValueError("samples_per_point must be >= 10000")
-        if not self.bin_width > 0:
-            raise ValueError("bin_width must be > 0")
+        if not 0 < self.bin_width < math.inf:
+            raise ValueError("bin_width must be finite and > 0")
 
 
 class ReciprocalPoint(NamedTuple):
@@ -135,36 +143,26 @@ class ReciprocalPoint(NamedTuple):
     central_mean: float
 
 
-def _run_task(fn: Callable, key: tuple[int, ...], index: int, item):
-    """``fn`` on child stream ``index`` of the batch root ``key``, and ``item``.
-
-    A pool worker runs each item through here. It is the one place a stream
-    is rebuilt from its key. ``derive_child`` is looked up as a module global,
-    so a wrapper installed there sees every call.
-    """
-    return fn(derive_child(RngState(key[0], key[1:]), index), item)
-
-
 def _run_tasks(fn: Callable, root: RngState, items: list, workers: int) -> list:
     """``[fn(derive_child(root, i), item) for i, item in enumerate(items)]``.
 
     The one batch-worker helper of the package: every batch goes through it,
     on up to ``workers`` processes. Item i always runs on child stream i of
     ``root`` and results come back in item order, so a batch gives the same
-    results at any worker count. A worker receives the root's key and the
-    item's index, not a stream, and rebuilds the stream in :func:`_run_task`.
-    Items go out in about four chunks per worker: enough to even out items
-    of uneven cost, few enough to keep the round trips cheap.
+    results at any worker count. A worker is sent each item with its child
+    stream, derived here and not yet drawn, so sent as its address. Items go
+    out in about four chunks per worker: enough to even out items of uneven
+    cost, few enough to keep the round trips cheap.
     """
+    streams = [derive_child(root, i) for i in range(len(items))]
     if workers <= 1 or len(items) <= 1:
-        return [fn(derive_child(root, i), item) for i, item in enumerate(items)]
+        return list(map(fn, streams, items))
     # imported here, so that importing the package loads no process machinery
     from concurrent.futures import ProcessPoolExecutor
 
     chunksize = max(1, len(items) // (4 * workers))
     with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        task = partial(_run_task, fn, root.key)
-        return list(pool.map(task, range(len(items)), items, chunksize=chunksize))
+        return list(pool.map(fn, streams, items, chunksize=chunksize))
 
 
 def _recip_point_worker(rng: RngState, item: tuple) -> ReciprocalPoint:

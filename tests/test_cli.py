@@ -59,6 +59,26 @@ def test_trial_bad_radius_names_key(argv, tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("radius", "nan"),
+    ("radius", "inf"),
+    ("cut_match_stdev", "nan"),
+    ("wire_diameter", "nan"),
+    ("juxtaposition_span", "nan"),
+    ("juxtaposition_span", "inf"),
+    ("peak_dominance", "nan"),
+], ids=lambda value: value)
+def test_config_key_not_finite_exits_two_naming_it(key, value, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    command = "campaign" if key == "peak_dominance" else "trial"
+    code, out, err = run(capsys, command, "--seed", "3", "--" + key.replace("_", "-"), value,
+                         "--out", str(out_dir))
+    assert code == 2
+    assert err.startswith(f"error: {key} must be finite")
+    assert out == ""
+    assert not out_dir.exists()
+
+
 def test_first_iteration_that_never_passes_the_mark_exits_two(tmp_path, capsys):
     # a juxtaposition loss of 200 on average outweighs the 127 piece, so the
     # first iteration can never reach 6R and the runaway guard fires
@@ -83,12 +103,12 @@ def test_internal_failure_exits_one(monkeypatch, tmp_path, capsys):
 
 def test_value_error_from_the_kernel_exits_one(monkeypatch, tmp_path, capsys):
     # a ValueError raised by the program is a bug, not a config error
-    from sixradii import histogram
+    from sixradii import measurement
 
     def broken(*args, **kwargs):
         raise ValueError("operands could not be broadcast together")
 
-    monkeypatch.setattr(histogram, "trial_block", broken)
+    monkeypatch.setattr(measurement, "trial_block", broken)
     code, out, err = run(capsys, "campaign", "--out", str(tmp_path), *COMMON)
     assert code == 1
     assert err.startswith("internal error: ")
@@ -112,14 +132,21 @@ def test_campaign_whose_first_iteration_never_passes_the_mark_exits_two(
     (["budget", "--budget", "0"], "--budget"),
     (["ablate", "--trials", "-1"], "--trials"),
     (["sweep-radius", "--radii", "0,450"], "--radii"),
+    pytest.param(["sweep-radius", "--radii", "450,nan"], "--radii", id="sweep-radius-nan"),
+    pytest.param(["sweep-radius", "--radii", "inf"], "--radii", id="sweep-radius-inf"),
     (["sweep-radius", "--trials-per-radius", "0"], "--trials-per-radius"),
     (["grid", "--budgets", "0,5"], "--budgets"),
     (["grid", "--campaigns-per-cell", "0"], "--campaigns-per-cell"),
+    (["grid", "--radii", "nan"], "--radii"),
     (["cf", "--value", "nan"], "--value"),
     (["cf", "--value", "pi", "--tolerance", "nan"], "--tolerance"),
     (["recip", "--samples", "10"], "--samples"),
     (["recip", "--stdevs", "-0.1"], "--stdevs"),
     (["recip", "--den-mean", "nan"], "--den-mean"),
+    (["recip", "--bin-width", "inf"], "--bin-width"),
+    (["recip", "--num-stdev", "inf"], "--num-stdev"),
+    pytest.param(["recip", "--stdevs", "0,inf"], "--stdevs", id="recip-stdevs-inf"),
+    (["recip", "--num-mean", "1e308", "--den-mean", "1e-300"], "--num-mean"),
     (["recip", "--threads", "-3"], "--threads"),
     (["success", "--threads", "0"], "--threads"),
 ], ids=lambda value: value if isinstance(value, str) else value[0])
@@ -155,6 +182,22 @@ def test_importing_the_cli_loads_no_process_machinery():
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             env=env, check=True)
     assert result.stdout == "[]\n"
+
+
+def test_a_stream_is_its_address_until_it_draws():
+    # deriving builds no generator, and an undrawn stream pickles as its address
+    probe = ("import pickle, sys; from sixradii.stochastics import derive_child, rng_new; "
+             "rng = derive_child(derive_child(rng_new(5), 2), 0); "
+             "print('numpy.random' in sys.modules); "
+             "rng = pickle.loads(pickle.dumps(rng)); "
+             "from numpy.random import PCG64, Generator, SeedSequence; "
+             "ref = Generator(PCG64(SeedSequence(5, spawn_key=(2, 0)))); "
+             "print(rng.generator.standard_normal(8).tolist() == "
+             "ref.standard_normal(8).tolist())")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=env, check=True)
+    assert result.stdout == "False\nTrue\n"
 
 
 def test_unknown_config_key_exits_two(tmp_path, capsys):
