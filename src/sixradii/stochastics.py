@@ -25,8 +25,13 @@ import numpy as np
 
 _MAX_SEED = 2**64
 
-# Samples per vectorized draw in the ratio study; bounds peak memory.
+# Samples per numerator draw in the ratio study. A chunk's numerators are one
+# ``standard_normal`` call, so this fixes the stream layout; their buffer is a
+# grid point's only chunk-sized array, so it also sets the worker's peak memory.
 _STUDY_CHUNK = 4_000_000
+# Samples per tile of the work after a chunk's numerator draw: small enough
+# that a tile's buffers stay in cache. Tiling moves no draw and no sum.
+_TILE = 65_536
 
 
 class RngState:
@@ -135,6 +140,11 @@ class ReciprocalStudyConfig:
             raise ValueError("samples_per_point must be >= 10000")
         if not 0 < self.bin_width < math.inf:
             raise ValueError("bin_width must be finite and > 0")
+        # 2 * ceil(5 * |r0| / bin_width) + 1 bins, at most 4,000,001: the
+        # histogram is never larger than one chunk buffer
+        if not 5.0 * abs(self.numerator_mean / self.denominator_mean) / self.bin_width <= 2e6:
+            raise ValueError("bin_width must be >= 5 * |numerator_mean / denominator_mean| / 2e6 "
+                             "(at most 4000001 histogram bins)")
 
 
 class ReciprocalPoint(NamedTuple):
@@ -171,34 +181,52 @@ def _recip_point_worker(rng: RngState, item: tuple) -> ReciprocalPoint:
     r0 = cfg.numerator_mean / cfg.denominator_mean
     w = cfg.bin_width
     half_bins = int(np.ceil(5.0 * abs(r0) / w))
-    # Two chunk buffers: the numerators (later the bin offsets) and the
-    # denominators (later the deviations ratio - r0).
-    size = min(cfg.samples_per_point, _STUDY_CHUNK)
-    num_buf, den_buf = np.empty(size), np.empty(size)
+    # One chunk buffer: a chunk's numerators, drawn in one call, which then
+    # collects the kept deviations in sample order. Each tile's kept deviations
+    # end at or before the tile's own end, so they overwrite only numerators
+    # already used. Everything else lives in tile buffers.
+    chunk = np.empty(min(cfg.samples_per_point, _STUDY_CHUNK))
+    tile = min(chunk.size, _TILE)
+    den_buf, off_buf, abs_buf = np.empty(tile), np.empty(tile), np.empty(tile)
+    idx_buf, keep_buf = np.empty(tile, dtype=np.int64), np.empty(tile, dtype=bool)
     counts = np.zeros(2 * half_bins + 1, dtype=np.int64)
     deviation_sum = 0.0
     in_window = 0
     remaining = cfg.samples_per_point
     while remaining > 0:
         n = min(remaining, _STUDY_CHUNK)
-        # standard_normal * stdev + mean is bit for bit normal(mean, stdev)
-        numerators, denominators = num_buf[:n], den_buf[:n]
-        generator.standard_normal(out=numerators)
-        numerators *= cfg.numerator_stdev
-        numerators += cfg.numerator_mean
-        generator.standard_normal(out=denominators)
-        denominators *= stdev
-        denominators += cfg.denominator_mean
-        with np.errstate(divide="ignore", invalid="ignore"):
-            deviations = np.divide(numerators, denominators, out=denominators)
-        deviations -= r0
-        offsets = np.rint(np.divide(deviations, w, out=numerators), out=numerators)
-        # NaN and +-inf offsets fail the comparison, so no isfinite mask is needed
-        keep = np.abs(offsets) <= half_bins
-        idx = offsets[keep].astype(np.int64) + half_bins
-        counts += np.bincount(idx, minlength=counts.size)
-        deviation_sum += float(np.sum(deviations[keep]))
-        in_window += int(np.count_nonzero(keep))
+        generator.standard_normal(out=chunk[:n])
+        kept = 0
+        for start in range(0, n, tile):
+            m = min(tile, n - start)
+            # standard_normal * stdev + mean is bit for bit normal(mean, stdev),
+            # and consecutive draws into tiles are the draws of one call
+            numerators, denominators = chunk[start:start + m], den_buf[:m]
+            numerators *= cfg.numerator_stdev
+            numerators += cfg.numerator_mean
+            generator.standard_normal(out=denominators)
+            denominators *= stdev
+            denominators += cfg.denominator_mean
+            with np.errstate(divide="ignore", invalid="ignore"):
+                deviations = np.divide(numerators, denominators, out=denominators)
+            deviations -= r0
+            offsets = np.rint(np.divide(deviations, w, out=off_buf[:m]), out=off_buf[:m])
+            # NaN and +-inf offsets fail the comparison, so no isfinite mask is needed
+            keep = np.less_equal(np.abs(offsets, out=abs_buf[:m]), half_bins, out=keep_buf[:m])
+            # cast the whole tile into its buffer, then select (casting the
+            # selected floats makes two fresh arrays and is several times
+            # slower); the casts of NaN and inf offsets are never selected
+            with np.errstate(invalid="ignore"):
+                np.copyto(idx_buf[:m], offsets, casting="unsafe")
+            idx = idx_buf[:m][keep]
+            idx += half_bins
+            # add.at, not bincount: its cost does not grow with the bin count
+            np.add.at(counts, idx, 1)
+            chunk[kept:kept + idx.size] = deviations[keep]
+            kept += idx.size
+        # the same compacted deviations, in the same order, as one array sum
+        deviation_sum += float(np.sum(chunk[:kept]))
+        in_window += kept
         remaining -= n
     peak = r0 + (int(np.argmax(counts)) - half_bins) * w
     mean = r0 + deviation_sum / in_window if in_window else float("nan")
@@ -222,7 +250,9 @@ def reciprocal_peak_curve(
     ``workers`` processes. It draws from child stream ``derive_child(rng, j)``
     in chunks of at most ``_STUDY_CHUNK`` samples, so extending the grid does
     not disturb earlier points, and every result is the same at any worker
-    count.
+    count. A chunk's numerators are one draw into the point's one chunk-sized
+    buffer; the rest of the chunk runs in tiles of ``_TILE`` samples, whose
+    denominator draws continue the same stream, so tiling changes no result.
     """
     items = [(cfg, stdev) for stdev in cfg.denominator_stdevs]
     return _run_tasks(_recip_point_worker, rng, items, workers)

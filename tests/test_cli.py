@@ -147,6 +147,9 @@ def test_campaign_whose_first_iteration_never_passes_the_mark_exits_two(
     (["recip", "--num-stdev", "inf"], "--num-stdev"),
     pytest.param(["recip", "--stdevs", "0,inf"], "--stdevs", id="recip-stdevs-inf"),
     (["recip", "--num-mean", "1e308", "--den-mean", "1e-300"], "--num-mean"),
+    pytest.param(["recip", "--num-mean", "1000", "--bin-width", "1e-6"], "--bin-width",
+                 id="recip-too-many-bins"),
+    pytest.param(["recip", "--bin-width", "1e-320"], "--bin-width", id="recip-bins-overflow"),
     (["recip", "--threads", "-3"], "--threads"),
     (["success", "--threads", "0"], "--threads"),
 ], ids=lambda value: value if isinstance(value, str) else value[0])

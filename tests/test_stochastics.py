@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,6 +129,13 @@ def test_reciprocal_config_validation():
         ReciprocalStudyConfig(denominator_stdevs=(0.1, -0.1))
     with pytest.raises(ValueError):
         ReciprocalStudyConfig(bin_width=0.0)
+    # 2 * ceil(5 * 5 / 1.25e-5) + 1 = 4,000,001 bins is the most allowed
+    ReciprocalStudyConfig(bin_width=1.25e-5)
+    for numerator_mean, bin_width in [(5.0, 1.2e-5), (1000.0, 1e-6), (5.0, 1e-320)]:
+        with pytest.raises(ValueError, match="^bin_width "):
+            ReciprocalStudyConfig(numerator_mean=numerator_mean, bin_width=bin_width)
+    # r0 = 0 has one bin at any width
+    ReciprocalStudyConfig(numerator_mean=0.0, bin_width=1e-320)
 
 
 def test_reciprocal_degenerate_grid_is_exact():
@@ -194,6 +202,31 @@ def test_reciprocal_point_matches_reference(stdev, monkeypatch):
     cfg = ReciprocalStudyConfig(denominator_stdevs=(0.1, stdev), samples_per_point=10_007)
     point = reciprocal_peak_curve(cfg, rng_new(11))[1]
     assert (point.peak_location, point.central_mean) == _reference_point(cfg, rng_new(11), 1)
+
+
+@pytest.mark.parametrize("tile", [1, 4096, 10_000])
+@pytest.mark.parametrize("stdev", [0.0, 0.2, 2.0])
+def test_reciprocal_tiles_change_no_bit(stdev, tile, monkeypatch):
+    # 25,007 samples in chunks of 10,000: two full chunks and a partial one,
+    # each cut into full tiles and (at tile 4,096) a partial tile
+    monkeypatch.setattr(stochastics, "_STUDY_CHUNK", 10_000)
+    monkeypatch.setattr(stochastics, "_TILE", tile)
+    cfg = ReciprocalStudyConfig(denominator_stdevs=(stdev,), samples_per_point=25_007)
+    (point,) = reciprocal_peak_curve(cfg, rng_new(17))
+    assert (point.peak_location, point.central_mean) == _reference_point(cfg, rng_new(17), 0)
+
+
+def test_reciprocal_point_memory_is_one_chunk(monkeypatch):
+    # the chunk buffer is the only chunk-sized array a grid point allocates
+    monkeypatch.setattr(stochastics, "_STUDY_CHUNK", 1_000_000)
+    cfg = ReciprocalStudyConfig(denominator_stdevs=(0.2,), samples_per_point=2_500_000)
+    tracemalloc.start()
+    try:
+        reciprocal_peak_curve(cfg, rng_new(19))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * stochastics._STUDY_CHUNK
 
 
 @pytest.mark.parametrize("stdevs", [(0.1,), (0.0, 0.2), (0.0, 0.05, 0.1, 0.5, 2.0)],
