@@ -23,10 +23,6 @@ from .measurement import (
     TrialConfig,
     TrialResult,
     accumulate_until_exceeds,
-    first_iteration,
-    round_count,
-    sample_circumference_piece,
-    second_iteration,
     simulate_trial,
 )
 from .stochastics import (
@@ -35,8 +31,6 @@ from .stochastics import (
     derive_child,
     reciprocal_peak_curve,
     rng_new,
-    sample_normal,
-    sample_uniform,
 )
 
 __version__ = "0.1.0"
@@ -57,17 +51,11 @@ __all__ = [
     "convergent",
     "derive_child",
     "euclid_quotients",
-    "first_iteration",
     "flip_threshold",
     "pi_estimate",
     "reciprocal_peak_curve",
     "rng_new",
-    "round_count",
     "run_campaign",
-    "sample_circumference_piece",
-    "sample_normal",
-    "sample_uniform",
-    "second_iteration",
     "simulate_trial",
     "stopping_met",
 ]

@@ -267,9 +267,10 @@ def cmd_success(args: argparse.Namespace, cfg: RunConfig) -> Report:
         args.max_measurements, workers=args.threads,
     )
     stats = summarize_success(outcomes)
+    mean = stats.mean_measurements
     return Report(
         f"success={stats.success_fraction:.3f} "
-        f"mean_measurements={stats.mean_measurements:.2f} "
+        f"mean_measurements={math.nan if mean is None else mean:.2f} "
         f"no_decision={stats.no_decision_fraction:.3f}",
         {"campaigns": args.campaigns, "max_measurements": args.max_measurements},
         {

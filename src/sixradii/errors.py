@@ -16,11 +16,9 @@ at the flip threshold (0.0 mm each).
 The groove-placement stdev is the fitted line at every radius: the recorded
 0.3538 mm is that line's value at radius 350, not a constant for radius 450.
 
-Two paths apply these terms. The scalar reference, ``measurement.simulate_trial``,
-calls the methods below once per draw; it serves the ``trial`` command. The
-block kernel, ``measurement.trial_block``, reads the same methods once per
-block of trials and scales whole arrays of draws by them; it serves
-campaigns, ``success``, ``budget``, ``grid``, ``ablate`` and ``sweep-radius``.
+One path applies these terms: the block kernel, ``measurement.trial_block``,
+reads the methods below once per block of trials and scales whole arrays of
+draws by them. Every command that runs trials goes through it.
 """
 
 from __future__ import annotations

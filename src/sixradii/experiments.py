@@ -79,10 +79,11 @@ class CampaignOutcome:
 
 @dataclass(frozen=True)
 class SuccessStats:
-    """Success fraction with its binomial 95% half-width, plus campaign stats."""
+    """Success fraction with its binomial 95% half-width, plus campaign stats;
+    ``mean_measurements`` is over the campaigns that selected, None if none did."""
 
     success_fraction: float
-    mean_measurements: float
+    mean_measurements: float | None
     no_decision_fraction: float
     ci_half_width: float
     n_campaigns: int
@@ -102,7 +103,9 @@ class GridCell(NamedTuple):
 def _campaign_worker(rng: RngState, item: tuple) -> CampaignOutcome:
     cfg, criteria, max_measurements = item
     result = run_campaign(rng, cfg, criteria, max_measurements)
-    selected = result.selected if criteria is not None else result.histogram.peak_bin()
+    selected = result.selected
+    if criteria is None and any(result.histogram.counts):  # an empty window selects nothing
+        selected = result.histogram.peak_bin()
     return CampaignOutcome(selected, result.measurements, result.discarded)
 
 
@@ -118,7 +121,8 @@ def run_campaign_batch(
 
     ``seed`` is a seed, whose root stream roots the batch, or the root
     stream itself. With ``criteria=None`` every campaign records exactly
-    ``max_measurements`` and selects its histogram's peak bin.
+    ``max_measurements`` and selects its histogram's peak bin, or nothing
+    when no measurement fell in the window.
     """
     if n_campaigns < 1:
         raise ValueError("n_campaigns must be >= 1")
@@ -133,7 +137,7 @@ def summarize_success(outcomes: Sequence[CampaignOutcome]) -> SuccessStats:
     successes = sum(1 for o in outcomes if o.selected == 5)
     stopped = [o.measurements for o in outcomes if o.selected is not None]
     fraction = successes / n
-    mean_measurements = sum(stopped) / len(stopped) if stopped else float("nan")
+    mean_measurements = sum(stopped) / len(stopped) if stopped else None
     no_decision = sum(1 for o in outcomes if o.selected is None) / n
     half_width = 1.96 * math.sqrt(fraction * (1.0 - fraction) / n)
     return SuccessStats(fraction, mean_measurements, no_decision, half_width, n)
@@ -163,8 +167,8 @@ def ablation_distribution(
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     ablated = replace(cfg, error_model=apply_ablation(cfg.error_model, mode))
-    counts = sum(np.bincount(second[first == 21], minlength=WINDOW_HI + 2)
-                 for first, second in trial_blocks(rng_new(seed), ablated, n_trials))
+    counts = sum(np.bincount(block.second[block.first == 21], minlength=WINDOW_HI + 2)
+                 for block in trial_blocks(rng_new(seed), ablated, n_trials))
     kept = int(counts.sum())
     return {q: int(c) / kept for q, c in enumerate(counts) if c}
 
@@ -172,7 +176,7 @@ def ablation_distribution(
 def _radius_sweep_worker(rng: RngState, item: tuple) -> RadiusSweepPoint:
     radius, trials, cfg = item
     blocks = trial_blocks(rng, replace(cfg, radius=radius), trials)
-    hits = sum(int(np.count_nonzero(first == 21)) for first, _ in blocks)
+    hits = sum(int(np.count_nonzero(block.first == 21)) for block in blocks)
     return RadiusSweepPoint(radius, hits / trials)
 
 

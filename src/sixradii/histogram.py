@@ -5,9 +5,9 @@ tally shows one clean peak: the peak clearly above its neighbors, a wide
 enough base of well-filled bins, and counts falling away monotonically on
 both flanks. The peak bin is then selected as the answer.
 
-:func:`stopping_met` is the rule for one histogram and the readable
-reference. A campaign takes its trials a block at a time and runs
-:func:`stopping_prefix`, the same rule on every prefix of the block at once.
+The rule is written once, over a stack of histograms. :func:`stopping_met`
+runs it on one histogram; a campaign, which takes its trials a block at a
+time, runs it through :func:`stopping_prefix` on every prefix of a block.
 """
 
 from __future__ import annotations
@@ -40,16 +40,8 @@ class Histogram:
     def total_recorded(self) -> int:
         return sum(self.counts) + self.underflow + self.overflow
 
-    def record(self, value: int) -> None:
-        if value < self.lo:
-            self.underflow += 1
-        elif value > self.hi:
-            self.overflow += 1
-        else:
-            self.counts[value - self.lo] += 1
-
     def record_all(self, values: np.ndarray) -> None:
-        """Record every value of an integer array, as :meth:`record` would one by one."""
+        """Record an integer array; values below ``lo`` are underflow, above ``hi`` overflow."""
         below, above = values < self.lo, values > self.hi
         self.underflow += int(np.count_nonzero(below))
         self.overflow += int(np.count_nonzero(above))
@@ -62,14 +54,13 @@ class Histogram:
         return self.counts[value - self.lo]
 
     def peak_bin(self) -> int:
-        """In-window bin with the maximal count; ties break toward the lowest."""
-        if self.total_recorded < 1:
-            raise ValueError("histogram is empty")
-        best_index = 0
-        for i, c in enumerate(self.counts):
-            if c > self.counts[best_index]:
-                best_index = i
-        return self.lo + best_index
+        """In-window bin with the maximal count; ties break toward the lowest.
+
+        Under- and overflow are not bins, so a window without counts has none.
+        """
+        if not any(self.counts):
+            raise ValueError("no count in the histogram window")
+        return self.lo + self.counts.index(max(self.counts))
 
     def as_dict(self) -> dict:
         return {
@@ -122,72 +113,29 @@ class StoppingCriteria:
             raise ValueError("bin_threshold_fraction must be in (0, 1)")
 
 
-def stopping_met(hist: Histogram, criteria: StoppingCriteria) -> bool:
-    """True when the histogram shows one clean, well-supported peak.
+def _passes(h: np.ndarray, criteria: StoppingCriteria) -> np.ndarray:
+    """The clean-single-peak rule on each row of a (histograms x bins) count array.
 
-    A bin missing beyond the window edge counts as zero for the neighbor
-    comparison. All above-threshold bins must form a single consecutive group
-    around the peak; an above-threshold island elsewhere means the peak is
-    not yet uniquely identifiable. Flank counts must strictly decrease away
-    from the peak within the group.
+    A bin beyond the window edge counts as zero for the neighbor comparison.
+    All above-threshold bins must form a single consecutive group around the
+    peak; an above-threshold island elsewhere means the peak is not yet
+    uniquely identifiable. Flank counts must strictly decrease away from the
+    peak within the group. An empty row never passes.
     """
-    counts = hist.counts
-    if sum(counts) == 0:
-        return False
-    peak_index = hist.peak_bin() - hist.lo
-    peak_count = counts[peak_index]
-    if peak_count < criteria.min_peak_count:
-        return False
-    below = counts[peak_index - 1] if peak_index > 0 else 0
-    above = counts[peak_index + 1] if peak_index + 1 < len(counts) else 0
-    if peak_count < criteria.peak_dominance * below:
-        return False
-    if peak_count < criteria.peak_dominance * above:
-        return False
-    threshold = criteria.bin_threshold_fraction * peak_count
-    group_lo = peak_index
-    while group_lo - 1 >= 0 and counts[group_lo - 1] > threshold:
-        group_lo -= 1
-    group_hi = peak_index
-    while group_hi + 1 < len(counts) and counts[group_hi + 1] > threshold:
-        group_hi += 1
-    for i, c in enumerate(counts):
-        if c > threshold and not group_lo <= i <= group_hi:
-            return False
-    if group_hi - group_lo + 1 < criteria.min_consecutive_bins:
-        return False
-    for i in range(group_lo, peak_index):
-        if counts[i] >= counts[i + 1]:
-            return False
-    for i in range(peak_index + 1, group_hi + 1):
-        if counts[i] >= counts[i - 1]:
-            return False
-    return True
-
-
-def stopping_prefix(hist: Histogram, values: np.ndarray, criteria: StoppingCriteria) -> int | None:
-    """First i at which :func:`stopping_met` passes once ``values[:i + 1]`` are recorded.
-
-    ``hist`` is left as it is; None means no prefix passes. Every prefix's
-    histogram is a row of a one-hot cumulative sum, and :func:`stopping_met`'s
-    conditions are evaluated on all rows at once.
-    """
-    bins = np.arange(hist.lo, hist.hi + 1)
-    h = np.cumsum(values[:, None] == bins, axis=0) + np.array(hist.counts)
-    rows = np.arange(len(values))
+    rows = np.arange(len(h))
+    n_bins = h.shape[1]
     peak = h.argmax(axis=1)  # ties break toward the lowest bin, as peak_bin
     peak_count = h[rows, peak]
-    # a bin beyond the window edge counts as zero
     below = np.where(peak > 0, h[rows, peak - 1], 0)
-    above = np.where(peak < len(bins) - 1, h[rows, np.minimum(peak + 1, len(bins) - 1)], 0)
+    above = np.where(peak < n_bins - 1, h[rows, np.minimum(peak + 1, n_bins - 1)], 0)
     high = h > (criteria.bin_threshold_fraction * peak_count)[:, None]
     # above-threshold bins form one group (around the peak) when they form one run
     runs = high[:, 0] + np.count_nonzero(high[:, 1:] & ~high[:, :-1], axis=1)
     # within the group, counts rise strictly up to the peak and fall strictly after it
     step = np.diff(h, axis=1)
-    rising = np.arange(len(bins) - 1) < peak[:, None]
+    rising = np.arange(n_bins - 1) < peak[:, None]
     unresolved = high[:, 1:] & high[:, :-1] & np.where(rising, step <= 0, step >= 0)
-    passed = (
+    return (
         (peak_count >= criteria.min_peak_count)
         & (peak_count >= criteria.peak_dominance * below)
         & (peak_count >= criteria.peak_dominance * above)
@@ -195,7 +143,23 @@ def stopping_prefix(hist: Histogram, values: np.ndarray, criteria: StoppingCrite
         & (np.count_nonzero(high, axis=1) >= criteria.min_consecutive_bins)
         & ~unresolved.any(axis=1)
     )
-    hits = np.flatnonzero(passed)
+
+
+def stopping_met(hist: Histogram, criteria: StoppingCriteria) -> bool:
+    """True when the histogram shows one clean, well-supported peak."""
+    return bool(_passes(np.array([hist.counts]), criteria)[0])
+
+
+def stopping_prefix(hist: Histogram, values: np.ndarray, criteria: StoppingCriteria) -> int | None:
+    """First i at which :func:`stopping_met` passes once ``values[:i + 1]`` are recorded.
+
+    ``hist`` is left as it is; None means no prefix passes. Every prefix's
+    histogram is a row of a one-hot cumulative sum, and the rule runs on all
+    rows at once.
+    """
+    bins = np.arange(hist.lo, hist.hi + 1)
+    h = np.cumsum(values[:, None] == bins, axis=0) + np.array(hist.counts)
+    hits = np.flatnonzero(_passes(h, criteria))
     return int(hits[0]) if hits.size else None
 
 
@@ -251,9 +215,9 @@ def run_campaign(
                 "campaign exceeded the trial limit without recording enough "
                 "measurements; first iteration almost never yields 21"
             )
-        first, second = next(blocks)
-        kept = np.flatnonzero(first == 21)[: max_measurements - recorded]
-        values = second[kept]
+        block = next(blocks)
+        kept = np.flatnonzero(block.first == 21)[: max_measurements - recorded]
+        values = block.second[kept]
         stop = stopping_prefix(hist, values, criteria) if criteria is not None else None
         if stop is not None:
             kept, values = kept[: stop + 1], values[: stop + 1]

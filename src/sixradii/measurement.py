@@ -6,11 +6,11 @@ builds the leftover piece 6R - 21(C - 6R), and counts how many of those fit
 into (C - 6R) rounded to the nearest whole piece (second iteration, true
 value 5).
 
-The model is written twice. :func:`simulate_trial` and the functions it
-calls run one trial at a time and are the readable reference; the ``trial``
-command uses them. :func:`trial_block` runs ``BLOCK_TRIALS`` trials at once
-from one stream, with the same boundary branches and rounding; campaigns,
-ablations and the radius sweep take their blocks from :func:`trial_blocks`.
+The model is written once, as a block kernel: :func:`trial_block` runs
+``BLOCK_TRIALS`` trials at once from one stream. Campaigns, ablations and the
+radius sweep take their blocks from :func:`trial_blocks`, and the ``trial``
+command prints its first row, :func:`simulate_trial`. The one-trial-at-a-time
+reference that the kernel is tested against lives with the tests.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ErrorModel
-from .stochastics import (RngState, derive_child, normal_block, sample_normal, sample_uniform,
-                          uniform_block)
+from .stochastics import RngState, derive_child, normal_block, uniform_block
 
 _RUNAWAY_LIMIT = 1_000_000
 _BLOCK = 64
@@ -73,32 +72,20 @@ class TrialResult:
     discarded: bool
 
 
+class TrialBlock(NamedTuple):
+    """One row per trial: both quotients, the (C - 6R) piece and the leftover piece."""
+
+    first: np.ndarray
+    second: np.ndarray
+    piece: np.ndarray
+    remainder: np.ndarray
+
+
+# The scalar accumulation serves no command; it stays while bench/tracer.py patches it by name.
 class AccumulationResult(NamedTuple):
     pieces_used: int
     total_before_last: float
     total: float
-
-
-def sample_circumference_piece(rng: RngState, cfg: TrialConfig) -> float:
-    """Realized length of the (C - 6R) piece cut at the six-radius mark.
-
-    Exact geometry plus bend elongation, groove-placement noise, three cut
-    protrusions (two ends of the circumference wire, one cut at the mark),
-    and cut-to-match noise, with the class toggles applied. A piece outside
-    (0, 6R) cannot be counted against the mark and raises
-    :class:`DegenerateConfigError`.
-    """
-    em = cfg.error_model
-    piece = cfg.true_circumference - cfg.six_r
-    piece += em.bend_elongation()
-    piece += sample_normal(rng, 0.0, em.circumference_stdev(cfg.radius))
-    piece += 3.0 * em.cut_elongation_effective()
-    piece += sample_normal(rng, 0.0, em.cut_match_stdev_effective())
-    if piece <= 0 or piece >= cfg.six_r:
-        raise DegenerateConfigError(
-            f"circumference piece {piece} outside (0, 6R); check error magnitudes"
-        )
-    return piece
 
 
 def accumulate_until_exceeds(
@@ -137,117 +124,16 @@ def accumulate_until_exceeds(
             return AccumulationResult(count, float(totals[-2]), running)
 
 
-def first_iteration(
-    rng: RngState, cfg: TrialConfig, c_minus_six_r: float
-) -> tuple[int, float]:
-    """Count (C - 6R) pieces against 6R and cut the leftover reference piece.
-
-    The quotient is one less than the number of pieces needed to pass the
-    mark. The leftover piece is the gap left by the counted pieces, plus the
-    juxtaposition gap opened when cutting at the mark, cut-to-match noise,
-    and one bevel protrusion. A mark never passed raises DegenerateConfigError.
-    """
-    if c_minus_six_r <= 0:
-        raise ValueError("c_minus_six_r must be > 0")
-    em = cfg.error_model
-    acc = accumulate_until_exceeds(rng, cfg, c_minus_six_r, cfg.six_r, _RUNAWAY_LIMIT)
-    if acc.total <= cfg.six_r:
-        raise DegenerateConfigError(f"accumulation used more than {_RUNAWAY_LIMIT} pieces "
-                                    f"(piece_ref={c_minus_six_r}, target={cfg.six_r})")
-    quotient = acc.pieces_used - 1
-    remainder = cfg.six_r - acc.total_before_last
-    remainder += sample_uniform(rng, 0.0, em.juxtaposition_span_effective())
-    remainder += sample_normal(rng, 0.0, em.cut_match_stdev_effective())
-    remainder += em.cut_elongation_effective()
-    return quotient, remainder
-
-
-def round_count(
-    pieces_to_pass: int, overshoot: float, last_piece_len: float, literal: bool = False
-) -> int:
-    """Round the accumulated count to the nearest whole piece.
-
-    If more than half of the last piece sticks out past the mark, the mark
-    sits in the first half of that piece, so the count rounds down
-    (pieces_to_pass - 1); otherwise it rounds up to pieces_to_pass. A mark at
-    exactly half a piece rounds up. This equals nearest-integer rounding of
-    the implied length ratio with ties up.
-
-    ``literal=True`` selects the inverted branch (round down when *less* than
-    half sticks out), kept only to demonstrate that it disagrees with the
-    fixed-only ablation.
-    """
-    if overshoot < 0:
-        raise ValueError("overshoot must be >= 0")
-    if last_piece_len <= 0:
-        raise ValueError("last_piece_len must be > 0")
-    half = 0.5 * last_piece_len
-    if literal:
-        return pieces_to_pass - 1 if overshoot < half else pieces_to_pass
-    return pieces_to_pass - 1 if overshoot > half else pieces_to_pass
-
-
-def second_iteration(
-    rng: RngState, cfg: TrialConfig, c_minus_six_r: float, remainder_piece: float
-) -> int:
-    """Count leftover-piece copies against the (C - 6R) mark, rounded.
-
-    Counts up to ``WINDOW_HI`` are exact; any larger count, or a mark never
-    passed, stops early and reads ``WINDOW_HI + 1``.
-    """
-    if c_minus_six_r <= 0:
-        raise ValueError("c_minus_six_r must be > 0")
-    if remainder_piece <= 0:
-        raise ValueError("remainder_piece must be > 0")
-    past_window = WINDOW_HI + 1
-    acc = accumulate_until_exceeds(rng, cfg, remainder_piece, c_minus_six_r, past_window)
-    if acc.total <= c_minus_six_r or acc.pieces_used > past_window:
-        return past_window
-    overshoot = acc.total - c_minus_six_r
-    last_piece = acc.total - acc.total_before_last
-    return round_count(acc.pieces_used, overshoot, last_piece, literal=cfg.literal_rounding)
-
-
-def simulate_trial(rng: RngState, cfg: TrialConfig) -> TrialResult:
-    """Run one complete measurement; both iterations always produce a value.
-
-    A trial whose first quotient is not 21 is flagged discarded (it never
-    enters a histogram) but its second iteration is still evaluated for
-    diagnostics. Boundary trials can leave a leftover piece longer than the
-    (C - 6R) mark (the count is then read from the one piece that already
-    passes it), not positive at all (recorded as 0), or so short that its
-    own juxtaposition losses outweigh it, which reads as a count past the
-    window, ``WINDOW_HI + 1``. Only a piece outside (0, 6R) or a first
-    iteration that never passes the mark raises DegenerateConfigError.
-    """
-    c_piece = sample_circumference_piece(rng, cfg)
-    quotient, remainder = first_iteration(rng, cfg, c_piece)
-    if remainder <= 0:
-        second = 0
-    elif remainder >= c_piece:
-        second = round_count(1, remainder - c_piece, remainder, literal=cfg.literal_rounding)
-    else:
-        second = second_iteration(rng, cfg, c_piece, remainder)
-    return TrialResult(
-        first_quotient=quotient,
-        second_quotient=second,
-        c_minus_six_r=c_piece,
-        remainder_piece=remainder,
-        discarded=quotient != 21,
-    )
-
-
 def _lay(
     rng: RngState, ref: np.ndarray, running: np.ndarray, target: np.ndarray, steps: int,
     cut_stdev: float, span: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lay ``steps`` copies of each row's reference piece after its running total.
 
-    Row-wise form of :func:`accumulate_until_exceeds`: every copy is cut to
-    match (normal error) and juxtaposed (uniform shrinkage). Returns per row
-    the copies laid up to the first total past ``target``, the total before
-    that copy and the total after it. A row that does not pass returns
-    ``steps`` and its last two totals.
+    Every copy is cut to match (normal error) and juxtaposed against the
+    previous one (uniform shrinkage). Returns per row the copies laid up to
+    the first total past ``target``, the total before that copy and the total
+    after it. A row that does not pass returns ``steps`` and its last two totals.
     """
     m = ref.size
     totals = ref[:, None] + cut_stdev * normal_block(rng, m * steps).reshape(m, steps)
@@ -261,16 +147,18 @@ def _lay(
     return k + 1, before, totals[rows, k]
 
 
-def trial_block(rng: RngState, cfg: TrialConfig) -> tuple[np.ndarray, np.ndarray]:
-    """First and second quotients of ``BLOCK_TRIALS`` trials drawn from ``rng``.
+def trial_block(rng: RngState, cfg: TrialConfig) -> TrialBlock:
+    """``BLOCK_TRIALS`` trials drawn from ``rng``, one per row.
 
-    Each row is one :func:`simulate_trial` with the same error terms,
-    boundary branches and rounding. Both counts are row-wise first crossings
-    of cumulative sums: the first over ``_FIRST_STEPS`` copies, after which
-    a row that has not passed 6R keeps laying copies until it does, and the
-    second over the copies up to ``WINDOW_HI + 1``, past which it reads
-    ``WINDOW_HI + 1``. A piece outside (0, 6R) or a first count past the
-    10^6-piece guard raises :class:`DegenerateConfigError`.
+    The piece is exact geometry plus bend elongation, groove noise, three cut
+    protrusions and cut-to-match noise. The first quotient is the copies of it
+    laid before one passes 6R; the leftover piece is the gap below 6R plus a
+    juxtaposition gap, cut-to-match noise and one protrusion. The second
+    quotient is its copies against the piece, rounded to nearest with ties up
+    (``literal_rounding`` inverts the branch), 0 for a leftover piece not
+    positive, and ``WINDOW_HI + 1`` for any count past the window. A piece
+    outside (0, 6R) or a first count past the 10^6-piece guard raises
+    :class:`DegenerateConfigError`.
     """
     em = cfg.error_model
     gen = rng.generator
@@ -307,7 +195,7 @@ def trial_block(rng: RngState, cfg: TrialConfig) -> tuple[np.ndarray, np.ndarray
     laid, before, total = _lay(rng, remainder, remainder, piece, WINDOW_HI, cut_stdev, span)
     short = total <= piece  # no copy up to WINDOW_HI + 1 passes the mark
     longer = remainder >= piece  # the leftover piece alone passes the mark
-    # round_count of (pieces to pass, overshoot, last piece) on every row
+    # more than half of the last copy past the mark rounds down, on every row
     used = np.where(longer, 1, laid + 1)
     last = np.where(longer, remainder, total - before)
     overshoot = np.where(longer, remainder, total) - piece
@@ -315,13 +203,21 @@ def trial_block(rng: RngState, cfg: TrialConfig) -> tuple[np.ndarray, np.ndarray
     second = used - rounds_down
     second[short & ~longer] = WINDOW_HI + 1
     second[remainder <= 0] = 0
-    return first, second
+    return TrialBlock(first, second, piece, remainder)
 
 
 def trial_blocks(rng: RngState, cfg: TrialConfig, n_trials: int | None = None):
     """:func:`trial_block` of child stream b of ``rng`` for b = 0, 1, ..., cut to
     ``n_trials`` rows in all; with None the blocks never end."""
     for b in itertools.count() if n_trials is None else range(-(-n_trials // BLOCK_TRIALS)):
-        first, second = trial_block(derive_child(rng, b), cfg)
+        block = trial_block(derive_child(rng, b), cfg)
         rows = None if n_trials is None else n_trials - b * BLOCK_TRIALS
-        yield first[:rows], second[:rows]
+        yield TrialBlock(*(column[:rows] for column in block))
+
+
+def simulate_trial(rng: RngState, cfg: TrialConfig) -> TrialResult:
+    """Row 0 of :func:`trial_blocks` of ``rng``: the first trial of a campaign on ``rng``."""
+    block = next(trial_blocks(rng, cfg, 1))
+    first = int(block.first[0])
+    return TrialResult(first, int(block.second[0]), float(block.piece[0]),
+                       float(block.remainder[0]), first != 21)

@@ -34,10 +34,9 @@ def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> No
 
 
 def write_json(path: Path, payload: Mapping) -> None:
-    path.write_text(
-        json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=True) + "\n",
-        encoding="utf-8",
-    )
+    """Strict JSON: a value that could not be computed is null, and a NaN raises ValueError."""
+    text = json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=True, allow_nan=False)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def provenance_payload(

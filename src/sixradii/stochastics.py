@@ -78,22 +78,8 @@ def derive_child(rng: RngState, index: int) -> RngState:
     return RngState(rng.seed, rng.path + (int(index),))
 
 
-def sample_normal(rng: RngState, mean: float, stdev: float) -> float:
-    """One draw from N(mean, stdev^2); stdev == 0 returns mean exactly."""
-    if stdev < 0:
-        raise ValueError("stdev must be >= 0")
-    return float(rng.generator.normal(mean, stdev))
-
-
-def sample_uniform(rng: RngState, lo: float, hi: float) -> float:
-    """One draw from U[lo, hi]; lo == hi returns lo exactly."""
-    if lo > hi:
-        raise ValueError("lo must be <= hi")
-    return float(rng.generator.uniform(lo, hi))
-
-
 def normal_block(rng: RngState, n: int) -> np.ndarray:
-    """n standard-normal draws as an array (bulk form used by accumulations)."""
+    """n standard-normal draws as an array."""
     return rng.generator.standard_normal(n)
 
 
@@ -150,7 +136,7 @@ class ReciprocalStudyConfig:
 class ReciprocalPoint(NamedTuple):
     denominator_stdev: float
     peak_location: float
-    central_mean: float
+    central_mean: float | None  # None when no sample lands in the window
 
 
 def _run_tasks(fn: Callable, root: RngState, items: list, workers: int) -> list:
@@ -229,7 +215,7 @@ def _recip_point_worker(rng: RngState, item: tuple) -> ReciprocalPoint:
         in_window += kept
         remaining -= n
     peak = r0 + (int(np.argmax(counts)) - half_bins) * w
-    mean = r0 + deviation_sum / in_window if in_window else float("nan")
+    mean = r0 + deviation_sum / in_window if in_window else None
     return ReciprocalPoint(float(stdev), peak, mean)
 
 

@@ -9,6 +9,9 @@ import pytest
 
 from sixradii import cli
 from sixradii.cli import main
+from sixradii.errors import ErrorModel
+from sixradii.measurement import TrialConfig, trial_blocks
+from sixradii.stochastics import rng_new
 
 COMMON = ["--formats", "csv,json"]
 
@@ -46,6 +49,52 @@ def test_trial_zero_errors(capsys):
     assert code == 0
     assert payload["first_quotient"] == 21
     assert payload["second_quotient"] == 5
+
+
+@pytest.mark.parametrize("seed, radius, zero_errors",
+                         [(1, 450.0, False), (7, 450.0, False), (123, 200.0, False),
+                          (5, 450.0, True)])
+def test_trial_is_the_first_trial_of_a_campaign(seed, radius, zero_errors, capsys):
+    flags = ["--zero-errors"] if zero_errors else []
+    code, out, _ = run(capsys, "trial", "--seed", str(seed), "--radius", repr(radius), *flags)
+    assert code == 0
+    model = ErrorModel(fixed_errors_enabled=not zero_errors,
+                       random_errors_enabled=not zero_errors)
+    block = next(trial_blocks(rng_new(seed), TrialConfig(radius=radius, error_model=model)))
+    assert json.loads(out) == {
+        "first_quotient": int(block.first[0]),
+        "second_quotient": int(block.second[0]),
+        "c_minus_six_r": float(block.piece[0]),
+        "remainder_piece": float(block.remainder[0]),
+        "discarded": bool(block.first[0] != 21),
+    }
+
+
+def _strict_json(path):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_success_without_a_decision_writes_null_not_nan(tmp_path, capsys):
+    # 3 measurements never satisfy the rule, so no campaign stops
+    code, out, _ = run(capsys, "success", "--campaigns", "2", "--max-measurements", "3",
+                       "--seed", "1", "--out", str(tmp_path), *COMMON)
+    assert code == 0
+    assert "mean_measurements=nan " in out
+    assert _strict_json(tmp_path / "success.json")["results"]["mean_measurements"] is None
+    assert (tmp_path / "success.csv").read_text().splitlines()[1].split(",")[1] == ""
+
+
+def test_recip_without_a_sample_in_the_window_writes_null_not_nan(tmp_path, capsys):
+    # r0 = 0 gives one bin, here far too narrow to catch a sample
+    code, _, _ = run(capsys, "recip", "--num-mean", "0", "--bin-width", "1e-300",
+                     "--samples", "10000", "--stdevs", "0.1", "--seed", "1",
+                     "--out", str(tmp_path), *COMMON)
+    assert code == 0
+    assert _strict_json(tmp_path / "recip.json")["results"]["points"] == [[0.1, 0.0, None]]
+    assert (tmp_path / "recip.csv").read_text().splitlines()[1] == "0.1,0.0,"
 
 
 # cf and recip do not use the trial model, but a config it rejects still fails

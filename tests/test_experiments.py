@@ -15,7 +15,7 @@ from sixradii.experiments import (
     run_campaign_batch,
     summarize_success,
 )
-from sixradii.histogram import StoppingCriteria
+from sixradii.histogram import StoppingCriteria, run_campaign
 from sixradii.measurement import TrialConfig
 from sixradii.stochastics import derive_child, rng_new
 
@@ -99,7 +99,18 @@ def test_summarize_success_counts_no_decision_as_failure():
     stats = summarize_success(outcomes)
     assert stats.no_decision_fraction == 1.0
     assert stats.success_fraction == 0.0
-    assert math.isnan(stats.mean_measurements)
+    assert stats.mean_measurements is None
+
+
+def test_fixed_budget_campaign_with_an_empty_window_selects_nothing():
+    # at radius 200 about one kept trial in five reads 0 or past the window
+    cfg = TrialConfig(radius=200.0)
+    outcomes = run_campaign_batch(cfg, None, 40, 3, max_measurements=1)
+    root = rng_new(3)
+    for c, outcome in enumerate(outcomes):
+        hist = run_campaign(derive_child(root, c), cfg, None, 1).histogram
+        assert outcome.selected == (hist.peak_bin() if any(hist.counts) else None)
+    assert any(o.selected is None for o in outcomes)
 
 
 def test_budget_one_matches_trial_distribution():

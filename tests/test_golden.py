@@ -87,7 +87,7 @@ _GOLDEN = {
         "stdout": "6c09a4605f94de213e1478c7506b6321329a5803723c76b976fcfaaeb9043e5a",
     },
     "trial": {
-        "stdout": "9ea7c95f10dbc5446b5f182b1a2f005ee8bcaa45dcf1bcfce180a045241387a0",
+        "stdout": "c3a65e16b6f0bbc4553f4267bc18872b4171af86b666175897c1445db6784313",
     },
 }
 

@@ -14,26 +14,25 @@ from sixradii.histogram import (
 from sixradii.measurement import DegenerateConfigError, TrialConfig, trial_block
 from sixradii.stochastics import derive_child, rng_new
 
+import reference
+
 
 def hist_from(counts_by_bin):
     hist = Histogram()
-    for bin_value, count in counts_by_bin.items():
-        for _ in range(count):
-            hist.record(bin_value)
+    hist.record_all(np.repeat(list(counts_by_bin), list(counts_by_bin.values())))
     return hist
 
 
 def test_record_and_totals():
     hist = Histogram()
-    hist.record(5)
+    hist.record_all(np.array([5]))
     assert hist.count(5) == 1
     assert hist.total_recorded == 1
 
 
 def test_window_overflow_and_underflow():
     hist = Histogram()
-    hist.record(20)
-    hist.record(0)
+    hist.record_all(np.array([20, 0]))
     assert hist.overflow == 1
     assert hist.underflow == 1
     assert all(c == 0 for c in hist.counts)
@@ -42,8 +41,7 @@ def test_window_overflow_and_underflow():
 
 def test_conservation_over_mixed_values():
     hist = Histogram()
-    for i in range(300):
-        hist.record(i % 25)
+    hist.record_all(np.arange(300) % 25)
     assert hist.total_recorded == 300
     assert sum(hist.counts) + hist.underflow + hist.overflow == 300
 
@@ -57,6 +55,12 @@ def test_peak_bin_argmax_and_ties():
 def test_peak_bin_empty_rejected():
     with pytest.raises(ValueError):
         Histogram().peak_bin()
+    # under- and overflow are recorded but are not bins, so there is no peak
+    hist = Histogram()
+    hist.record_all(np.array([0, 17, 20]))
+    assert hist.total_recorded == 3
+    with pytest.raises(ValueError):
+        hist.peak_bin()
 
 
 def test_stopping_met_clean_peak():
@@ -236,19 +240,31 @@ def test_stopping_prefix_matches_stopping_met_after_each_record(state, criteria)
     hist.counts = list(counts)
     expected = None
     for i, value in enumerate(values):
-        hist.record(value)
-        if stopping_met(hist, criteria):
+        reference.record(hist, value)
+        if reference.stopping_met(hist, criteria):
             expected = i
             break
     assert stopping_prefix(base, np.array(values, dtype=np.int64), criteria) == expected
     assert base.counts == counts
 
 
+@given(state=_histogram_and_outcomes(), criteria=st.one_of(st.just(StoppingCriteria()), _RULES))
+@settings(max_examples=200, deadline=None)
+def test_stopping_met_matches_the_scalar_rule(state, criteria):
+    counts, values = state
+    hist = Histogram()
+    hist.counts = list(counts)
+    assert stopping_met(hist, criteria) == reference.stopping_met(hist, criteria)
+    for value in values:
+        reference.record(hist, value)
+        assert stopping_met(hist, criteria) == reference.stopping_met(hist, criteria)
+
+
 def test_record_all_matches_record():
     values = np.array([0, 1, 5, 5, 16, 17, 20, 3])
     one_by_one, at_once = Histogram(), Histogram()
     for value in values:
-        one_by_one.record(int(value))
+        reference.record(one_by_one, int(value))
     at_once.record_all(values)
     assert at_once == one_by_one
 
@@ -266,8 +282,8 @@ def test_fixed_budget_campaign_is_a_prefix_of_a_longer_one():
     cfg = TrialConfig()
     root = rng_new(4)
     blocks = [trial_block(derive_child(root, b), cfg) for b in range(3)]
-    first = np.concatenate([f for f, _ in blocks])
-    second = np.concatenate([s for _, s in blocks])
+    first = np.concatenate([b.first for b in blocks])
+    second = np.concatenate([b.second for b in blocks])
     kept = np.flatnonzero(first == 21)
     for n in (1, 2, 100, 255, 256, 257, 600):
         result = run_campaign(root, cfg, None, n)

@@ -17,16 +17,17 @@ from sixradii.measurement import (
     WINDOW_HI,
     DegenerateConfigError,
     TrialConfig,
+    TrialResult,
     _lay,
     accumulate_until_exceeds,
-    first_iteration,
-    round_count,
-    sample_circumference_piece,
-    second_iteration,
     simulate_trial,
     trial_block,
+    trial_blocks,
 )
 from sixradii.stochastics import derive_child, rng_new
+
+import reference
+from reference import first_iteration, round_count, sample_circumference_piece, second_iteration
 
 ZERO = ErrorModel(fixed_errors_enabled=False, random_errors_enabled=False)
 FIXED_ONLY = ErrorModel(random_errors_enabled=False)
@@ -259,12 +260,24 @@ def test_fixed_only_trials_identical_across_streams():
     assert len(results) == 1
 
 
+def test_trial_blocks_and_simulate_trial_read_the_kernel_rows():
+    cfg = TrialConfig()
+    blocks = list(trial_blocks(rng_new(2), cfg, BLOCK_TRIALS + 44))
+    assert [len(column) for block in blocks for column in block] == [BLOCK_TRIALS] * 4 + [44] * 4
+    whole = trial_block(derive_child(rng_new(2), 1), cfg)
+    assert all(np.array_equal(cut, column[:44]) for cut, column in zip(blocks[1], whole))
+    row = blocks[0]
+    assert simulate_trial(rng_new(2), cfg) == TrialResult(
+        int(row.first[0]), int(row.second[0]), float(row.piece[0]), float(row.remainder[0]),
+        bool(row.first[0] != 21))
+
+
 def test_default_trials_mode_is_five():
     cfg = TrialConfig()
     root = rng_new(8)
     counts = {}
     for t in range(10_000):
-        result = simulate_trial(derive_child(root, t), cfg)
+        result = reference.simulate_trial(derive_child(root, t), cfg)
         if not result.discarded:
             counts[result.second_quotient] = counts.get(result.second_quotient, 0) + 1
     assert max(counts, key=counts.get) == 5
@@ -282,15 +295,13 @@ def test_fixed_bias_response_is_monotone():
 
 
 def _kernel_quotients(cfg, n_trials, seed):
-    root = rng_new(seed)
-    blocks = [trial_block(derive_child(root, b), cfg) for b in range(-(-n_trials // BLOCK_TRIALS))]
-    return (np.concatenate([f for f, _ in blocks])[:n_trials],
-            np.concatenate([s for _, s in blocks])[:n_trials])
+    blocks = list(trial_blocks(rng_new(seed), cfg, n_trials))
+    return np.concatenate([b.first for b in blocks]), np.concatenate([b.second for b in blocks])
 
 
 def _reference_quotients(cfg, n_trials, seed):
     rng = rng_new(seed)  # one stream: its successive trials are independent too
-    trials = [simulate_trial(rng, cfg) for _ in range(n_trials)]
+    trials = [reference.simulate_trial(rng, cfg) for _ in range(n_trials)]
     return (np.array([t.first_quotient for t in trials]),
             np.array([t.second_quotient for t in trials]))
 
@@ -319,8 +330,8 @@ def test_kernel_matches_scalar_reference_in_distribution(mode, radius):
     # three radii: second counts 0..16, the 17 overflow and the discard rate
     cfg = TrialConfig(radius=radius, error_model=apply_ablation(ErrorModel(), mode))
     kernel = _outcome_counts(*_kernel_quotients(cfg, 100_000, 21))
-    reference = _outcome_counts(*_reference_quotients(cfg, 33_334, 22))
-    assert _chi2_pvalue(kernel, reference) > 1e-4
+    scalar = _outcome_counts(*_reference_quotients(cfg, 33_334, 22))
+    assert _chi2_pvalue(kernel, scalar) > 1e-4
 
 
 def test_row_accumulation_matches_accumulate_until_exceeds():
@@ -333,27 +344,26 @@ def test_row_accumulation_matches_accumulate_until_exceeds():
     laid, _, total = _lay(rng_new(1), ref, ref, np.full(n, 101.0), 64,
                           em.cut_match_stdev_effective(), em.juxtaposition_span_effective())
     rng = rng_new(2)
-    reference = [accumulate_until_exceeds(rng, cfg, 5.0, 101.0) for _ in range(n)]
+    scalar = [accumulate_until_exceeds(rng, cfg, 5.0, 101.0) for _ in range(n)]
     assert _chi2_pvalue(np.bincount(laid + 1, minlength=30),
-                        np.bincount([a.pieces_used for a in reference], minlength=30)) > 1e-4
-    assert ks_2samp(total, [a.total for a in reference]).pvalue > 1e-4
+                        np.bincount([a.pieces_used for a in scalar], minlength=30)) > 1e-4
+    assert ks_2samp(total, [a.total for a in scalar]).pvalue > 1e-4
 
 
 @pytest.mark.parametrize("radius", [200.0, 450.0, 900.0])
 @pytest.mark.parametrize("model, literal", [(FIXED_ONLY, False), (ZERO, False), (FIXED_ONLY, True)])
 def test_kernel_is_exact_without_random_errors(model, literal, radius):
     cfg = TrialConfig(radius=radius, error_model=model, literal_rounding=literal)
-    reference = simulate_trial(rng_new(0), cfg)
-    first, second = trial_block(rng_new(0), cfg)
-    assert set(first.tolist()) == {reference.first_quotient}
-    assert set(second.tolist()) == {reference.second_quotient}
+    expected = reference.simulate_trial(rng_new(0), cfg)
+    block = trial_block(rng_new(0), cfg)
+    assert set(block.first.tolist()) == {expected.first_quotient}
+    assert set(block.second.tolist()) == {expected.second_quotient}
 
 
 def test_kernel_point_masses_at_radius_450():
     def outcomes(model, literal=False):
-        first, second = trial_block(rng_new(3), TrialConfig(error_model=model,
-                                                            literal_rounding=literal))
-        return set(first.tolist()), set(second.tolist())
+        block = trial_block(rng_new(3), TrialConfig(error_model=model, literal_rounding=literal))
+        return set(block.first.tolist()), set(block.second.tolist())
 
     assert outcomes(FIXED_ONLY) == ({21}, {7})
     assert outcomes(ZERO) == ({21}, {5})

