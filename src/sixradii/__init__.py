@@ -7,55 +7,53 @@ pi/3, so the method measures the rational 111/106. This package simulates
 the procedure with bench-measured error constants, runs the histogram
 stopping protocol that selects the most common outcome, and provides the
 experiment battery and CLI around it.
+
+Each public name is imported from its submodule on first use (PEP 562), so
+``import sixradii.contfrac`` loads no numpy.
 """
 
-from .contfrac import CFExpansion, cf_expand, convergent, euclid_quotients, pi_estimate
-from .errors import ErrorModel, flip_threshold
-from .histogram import (
-    CampaignResult,
-    Histogram,
-    StoppingCriteria,
-    run_campaign,
-    stopping_met,
-)
-from .measurement import (
-    DegenerateConfigError,
-    TrialConfig,
-    TrialResult,
-    accumulate_until_exceeds,
-    simulate_trial,
-)
-from .stochastics import (
-    ReciprocalStudyConfig,
-    RngState,
-    derive_child,
-    reciprocal_peak_curve,
-    rng_new,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CFExpansion",
-    "CampaignResult",
-    "DegenerateConfigError",
-    "ErrorModel",
-    "Histogram",
-    "ReciprocalStudyConfig",
-    "RngState",
-    "StoppingCriteria",
-    "TrialConfig",
-    "TrialResult",
-    "accumulate_until_exceeds",
-    "cf_expand",
-    "convergent",
-    "derive_child",
-    "euclid_quotients",
-    "flip_threshold",
-    "pi_estimate",
-    "reciprocal_peak_curve",
-    "rng_new",
-    "run_campaign",
-    "simulate_trial",
-    "stopping_met",
-]
+# public name -> the submodule that defines it
+_SUBMODULE = {
+    "CFExpansion": "contfrac",
+    "CampaignResult": "histogram",
+    "DegenerateConfigError": "measurement",
+    "ErrorModel": "errors",
+    "Histogram": "histogram",
+    "ReciprocalStudyConfig": "stochastics",
+    "RngState": "stochastics",
+    "StoppingCriteria": "histogram",
+    "TrialConfig": "measurement",
+    "TrialResult": "measurement",
+    "accumulate_until_exceeds": "measurement",
+    "cf_expand": "contfrac",
+    "convergent": "contfrac",
+    "derive_child": "stochastics",
+    "euclid_quotients": "contfrac",
+    "flip_threshold": "errors",
+    "pi_estimate": "contfrac",
+    "reciprocal_peak_curve": "stochastics",
+    "rng_new": "stochastics",
+    "run_campaign": "histogram",
+    "simulate_trial": "measurement",
+    "stopping_met": "histogram",
+}
+
+__all__ = list(_SUBMODULE)
+
+
+def __getattr__(name: str):
+    # Not cached in the package namespace, so a name always resolves to what
+    # its submodule holds now.
+    try:
+        submodule = _SUBMODULE[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(importlib.import_module(f"{__name__}.{submodule}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -10,10 +10,10 @@ divided in floating point.
 
 from __future__ import annotations
 
-import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable
 
 
 # A double resolves a real x only to about x / 2**53, and a convergent p/q is
@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 _FLOAT_RESOLUTION = 2**53
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CFExpansion:
     """Quotient list plus whether the expansion terminated exactly."""
 
@@ -43,8 +43,7 @@ def cf_expand(
     denominator q has q**2 * x > 2**53, past what a double resolves, whatever
     ``max_terms`` is; quotients up to the first nonzero one are always kept.
     """
-    if not 0 < x < math.inf:
-        raise ValueError("x must be > 0 and finite")
+    p, d = _positive_ratio(x, "x")
     if max_terms is not None and max_terms < 1:
         raise ValueError("max_terms must be >= 1")
     if not tolerance >= 0:
@@ -53,11 +52,29 @@ def cf_expand(
     if tolerance:
         # r/b < tolerance, compared exactly in integers. Every r/b is below 1,
         # so a tolerance above 1 (even inf) acts like 1.
-        tn, td = min(tolerance, 1).as_integer_ratio()
+        tn, td = _positive_ratio(min(tolerance, 1), "tolerance")
         stop = lambda r, b: r * td < tn * b
-    p, d = x.as_integer_ratio()
+    # isinstance, not a type test: numpy.float64 is a double too
     quotients, exact = _divide(p, d, max_terms, stop, isinstance(x, float))
     return CFExpansion(tuple(quotients), exact)
+
+
+def _positive_ratio(x: float | int | Fraction, name: str) -> tuple[int, int]:
+    """The exact value of x > 0 as a pair of integers (p, d), d > 0.
+
+    Integer types without ``as_integer_ratio``, such as numpy's, are the
+    integers ``operator.index`` gives. Anything not finite and above zero is
+    a ValueError naming ``name``.
+    """
+    try:
+        p, d = x.as_integer_ratio()
+    except AttributeError:
+        p, d = operator.index(x), 1
+    except (OverflowError, ValueError):  # inf and nan have no ratio
+        p, d = 0, 1
+    if p <= 0:
+        raise ValueError(f"{name} must be > 0 and finite")
+    return p, d
 
 
 def _divide(
@@ -88,18 +105,19 @@ def _divide(
     return quotients, False
 
 
-def convergent(quotients: Sequence[int]) -> Fraction:
+def convergent(quotients: Iterable[int]) -> Fraction:
     """Fold a quotient list into a reduced rational."""
-    qs = list(quotients)
-    if not qs:
-        raise ValueError("quotient list must be non-empty")
-    if qs[0] < 0:
+    terms = iter(quotients)
+    try:
+        h = next(terms)
+    except StopIteration:
+        raise ValueError("quotient list must be non-empty") from None
+    if h < 0:
         raise ValueError("leading quotient must be >= 0")
-    if any(a < 1 for a in qs[1:]):
-        raise ValueError("quotients after the first must be >= 1")
-    h_prev, h = 1, qs[0]
-    k_prev, k = 0, 1
-    for a in qs[1:]:
+    h_prev, k_prev, k = 1, 0, 1
+    for a in terms:
+        if a < 1:
+            raise ValueError("quotients after the first must be >= 1")
         h_prev, h = h, a * h + h_prev
         k_prev, k = k, a * k + k_prev
     return Fraction(h, k)
@@ -120,19 +138,17 @@ def euclid_quotients(
     first scaled to integers over one common denominator, so float lengths
     run Euclid's algorithm exactly on the values they hold.
     """
-    if not (0 < a < math.inf and 0 < b < math.inf):
-        raise ValueError("both lengths must be > 0 and finite")
+    pa, da = _positive_ratio(a, "both lengths")
+    pb, db = _positive_ratio(b, "both lengths")
     if max_terms is not None and max_terms < 1:
         raise ValueError("max_terms must be >= 1")
     if not tolerance >= 0:
         raise ValueError("tolerance must be >= 0")
-    pa, da = a.as_integer_ratio()
-    pb, db = b.as_integer_ratio()
     stop = None
     if tolerance:
         # r / (da * db) < tolerance, compared exactly in integers. Every
         # remainder is below b, so a tolerance above b (even inf) acts like b.
-        tn, td = min(tolerance, b).as_integer_ratio()
+        tn, td = _positive_ratio(min(tolerance, b), "tolerance")
         den = da * db
         stop = lambda r, _: r * td < tn * den
     return _divide(pa * db, pb * da, max_terms, stop)[0]

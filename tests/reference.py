@@ -1,14 +1,19 @@
-"""Scalar, one-trial-at-a-time references for the program's vectorised paths.
+"""Slow, readable references for the program's fast paths.
 
 The program runs one model: the block kernel ``measurement.trial_block`` and
 the stopping rule over stacks of histograms, ``histogram._passes``. The
 functions here are the same model written the slow, readable way: one
 normal or uniform draw at a time, one accumulation at a time, one stopping
-condition at a time and one recorded value at a time. Equivalence tests
+condition at a time and one recorded value at a time. The continued
+fractions, which the program runs as one integer division loop, are here
+in ``Fraction`` arithmetic as the textbook defines them. Equivalence tests
 check the program against them.
 """
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
 
 from sixradii.histogram import Histogram, StoppingCriteria
 from sixradii.measurement import (
@@ -209,3 +214,49 @@ def record(hist: Histogram, value: int) -> None:
         hist.overflow += 1
     else:
         hist.counts[value - hist.lo] += 1
+
+
+def cf_expand(x, max_terms: int | None = None, tolerance=0) -> tuple[list[int], bool]:
+    """Continued fraction of x > 0 as (quotients, exact), in Fractions only.
+
+    a = floor(x), then x = 1 / (x - a), until x - a is zero (exact), below
+    ``tolerance``, or ``max_terms`` quotients are taken.
+    """
+    x = Fraction(x)
+    quotients = []
+    while max_terms is None or len(quotients) < max_terms:
+        a = math.floor(x)
+        quotients.append(a)
+        if x == a:
+            return quotients, True
+        if x - a < tolerance:
+            break
+        x = 1 / (x - a)
+    return quotients, False
+
+
+def euclid_quotients(a, b, max_terms: int | None = None, tolerance=0) -> list[int]:
+    """Quotients of dividing length a by length b with remainder, in Fractions.
+
+    Each step measures b off a as often as it fits, then divides b by the
+    leftover, until the leftover is zero or below ``tolerance`` (in the units
+    of a and b) or ``max_terms`` quotients are taken.
+    """
+    a, b = Fraction(a), Fraction(b)
+    quotients = []
+    while max_terms is None or len(quotients) < max_terms:
+        q = a // b
+        quotients.append(q)
+        r = a - q * b
+        if r == 0 or r < tolerance:
+            break
+        a, b = b, r
+    return quotients
+
+
+def convergent(quotients: list[int]) -> Fraction:
+    """[a0; a1, ..., an] folded from the last quotient back to the first."""
+    value = Fraction(quotients[-1])
+    for a in reversed(quotients[:-1]):
+        value = a + 1 / value
+    return value

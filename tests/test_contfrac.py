@@ -2,7 +2,9 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+import reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -84,6 +86,57 @@ def test_euclid_on_floats_is_exact(a, b):
     assert euclid_quotients(a, b) == list(cf_expand(Fraction(a) / Fraction(b)).quotients)
 
 
+positive_exact = st.one_of(
+    st.integers(1, 10**30),
+    st.fractions(min_value=0, max_denominator=10**12).filter(lambda x: x > 0),
+)
+max_terms_or_none = st.one_of(st.none(), st.integers(1, 12))
+tolerances = st.one_of(
+    st.just(0), st.fractions(0, 3, max_denominator=10**6), st.floats(0, 3), st.just(math.inf))
+
+
+@given(x=positive_exact, max_terms=max_terms_or_none, tolerance=tolerances)
+@settings(max_examples=400, deadline=None)
+def test_exact_expansion_matches_the_fraction_reference(x, max_terms, tolerance):
+    quotients, exact = reference.cf_expand(x, max_terms, tolerance)
+    assert cf_expand(x, max_terms, tolerance) == CFExpansion(tuple(quotients), exact)
+    assert convergent(iter(quotients)) == convergent(quotients)
+    if exact:
+        assert convergent(quotients) == x
+
+
+@given(a=positive_exact, b=positive_exact, max_terms=max_terms_or_none, tolerance=tolerances)
+@settings(max_examples=400, deadline=None)
+def test_euclid_matches_the_fraction_reference(a, b, max_terms, tolerance):
+    assert euclid_quotients(a, b, max_terms, tolerance) == reference.euclid_quotients(
+        a, b, max_terms, tolerance)
+
+
+@given(quotients=st.lists(st.integers(1, 10**6), max_size=30), first=st.integers(0, 10**6))
+@settings(max_examples=300, deadline=None)
+def test_convergent_matches_the_backward_fold(quotients, first):
+    assert convergent([first, *quotients]) == reference.convergent([first, *quotients])
+
+
+@pytest.mark.parametrize("int_type", [np.int64, np.int32, np.uint16])
+def test_numpy_integers_are_the_integers_they_hold(int_type):
+    assert cf_expand(int_type(7)) == cf_expand(7)
+    assert cf_expand(Fraction(7, 3), tolerance=int_type(1)) == CFExpansion((2,), False)
+    assert euclid_quotients(int_type(355), 113) == euclid_quotients(355, 113) == [3, 7, 16]
+    assert euclid_quotients(355, int_type(113)) == [3, 7, 16]
+    assert euclid_quotients(Fraction(21, 2), 2, tolerance=int_type(5)) == [5]
+    with pytest.raises(ValueError):
+        cf_expand(int_type(0))
+
+
+def test_a_numpy_double_keeps_the_resolution_stop(deadline):
+    # numpy.float64 subclasses float, so it too stops where a double's
+    # resolution runs out instead of expanding its exact binary value
+    with deadline(5):
+        assert cf_expand(np.float64(math.pi / 3)) == cf_expand(math.pi / 3)
+    assert not cf_expand(np.float64(math.pi / 3)).exact
+
+
 def test_exact_fraction_expansion():
     expansion = cf_expand(Fraction(111, 106))
     assert expansion.quotients == (1, 21, 5)
@@ -91,8 +144,9 @@ def test_exact_fraction_expansion():
 
 
 def test_cf_expand_validation():
-    with pytest.raises(ValueError):
-        cf_expand(0.0)
+    for x in (0.0, 0, Fraction(0), Fraction(-1, 2)):
+        with pytest.raises(ValueError):
+            cf_expand(x)
     with pytest.raises(ValueError):
         cf_expand(-1.5)
     with pytest.raises(ValueError):
@@ -123,12 +177,10 @@ def test_convergent_values():
 
 
 def test_convergent_validation():
-    with pytest.raises(ValueError):
-        convergent([])
-    with pytest.raises(ValueError):
-        convergent([2, 0, 3])
-    with pytest.raises(ValueError):
-        convergent([-1, 2])
+    # any iterable, a one-shot iterator included, is checked the same way
+    for quotients in ([], iter([]), [2, 0, 3], (x for x in [2, 0, 3]), [-1, 2], iter([-1, 2])):
+        with pytest.raises(ValueError):
+            convergent(quotients)
 
 
 def test_euclid_integer_inputs():
