@@ -21,19 +21,19 @@ _SUBMODULE = {
     "CFExpansion": "contfrac",
     "CampaignResult": "histogram",
     "DegenerateConfigError": "measurement",
-    "ErrorModel": "errors",
+    "ErrorModel": "config",
     "Histogram": "histogram",
     "ReciprocalStudyConfig": "stochastics",
     "RngState": "stochastics",
-    "StoppingCriteria": "histogram",
-    "TrialConfig": "measurement",
+    "StoppingCriteria": "config",
+    "TrialConfig": "config",
     "TrialResult": "measurement",
     "accumulate_until_exceeds": "measurement",
     "cf_expand": "contfrac",
     "convergent": "contfrac",
     "derive_child": "stochastics",
     "euclid_quotients": "contfrac",
-    "flip_threshold": "errors",
+    "flip_threshold": "config",
     "pi_estimate": "contfrac",
     "reciprocal_peak_curve": "stochastics",
     "rng_new": "stochastics",

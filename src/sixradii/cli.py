@@ -438,9 +438,9 @@ def cmd_recip(args: argparse.Namespace, cfg: RunConfig) -> Report:
         bin_width=args.bin_width,
     )
     points = reciprocal_peak_curve(study, rng_new(cfg.seed), workers=args.threads)
+    peaks = [math.nan if p.peak_location is None else p.peak_location for p in points]
     return Report(
-        f"points={len(points)} first_peak={points[0].peak_location:.4f} "
-        f"last_peak={points[-1].peak_location:.4f}",
+        f"points={len(points)} first_peak={peaks[0]:.4f} last_peak={peaks[-1]:.4f}",
         asdict(study),
         {"points": [[p.denominator_stdev, p.peak_location, p.central_mean] for p in points]},
         {"recip": (("denominator_stdev", "peak_location", "central_mean"), points)},

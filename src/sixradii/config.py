@@ -1,22 +1,179 @@
-"""Flat key=value run configuration: parsing, precedence, and digests.
+"""The run's parameter objects, and the flat key=value configuration that sets them.
 
-One documented key per error-model, trial, and stopping-criteria field; a
-key's default and value kind are read from that dataclass field, so each
-default is written once, on the domain object. Unknown keys are hard errors. Precedence when resolving: command-line flag
-> config-file key > environment default (output directory only) > built-in
-default. The serialized form is canonical, so its SHA-256 digest identifies
-a configuration in provenance records.
+The error model, the trial setup and the stopping rule are defined here,
+beside the schema: one documented key per field, whose default and value
+kind are read from that field, so each default is written once, on the
+domain object. Unknown keys are hard errors. Precedence when resolving:
+command-line flag > config-file key > environment default (output directory
+only) > built-in default. The serialized form is canonical, so its SHA-256
+digest identifies a configuration in provenance records. Only the standard
+library is loaded here, so reading parameters loads no numpy.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Mapping, NamedTuple
 
-from .histogram import StoppingCriteria
-from .measurement import TrialConfig
+# Fractional circumference error that flips the second iteration from 5 to 4.
+FLIP_ERROR_FRACTION = 3e-5
+
+
+@dataclass(frozen=True)
+class ErrorModel:
+    """Every modelled error source, each class behind an on/off toggle.
+
+    Fixed errors are systematic offsets invisible to the measurer; random
+    errors scatter from trial to trial. All lengths are millimeters. Defaults
+    are the values measured for 0.5 mm copper wire cut with a 20-degree
+    blade: bend shortening of the wire midline (so the straightened piece
+    runs long), bevel protrusion per cut, the uniform juxtaposition overlap
+    of beveled ends, cut-to-match scatter, and the radius-dependent scatter
+    of laying wire in the circular groove.
+
+    Four measured quantities are not modelled. The short side of a beveled
+    cut falls 0.085 mm short, but pieces are laid long side to long side, so
+    only the 0.095 mm protrusion enters the arithmetic. Cross-section
+    distortion of the bent wire, a systematic error of the groove itself,
+    and the error of marking 6R on the wire were assessed and found to have
+    no measurable effect at the flip threshold (0.0 mm each).
+
+    The groove-placement stdev is the fitted line at every radius: the
+    recorded 0.3538 mm is that line's value at radius 350, not a constant
+    for radius 450.
+
+    Every command that runs trials applies these terms through one path, the
+    block kernel :func:`sixradii.measurement.trial_block`.
+    """
+
+    wire_diameter: float = 0.5
+    bend_elongation_per_mm: float = 0.057
+    cut_elongation: float = 0.095
+    cut_match_stdev: float = 0.09
+    juxtaposition_span: float = 0.18
+    circumference_stdev_base: float = 0.05
+    circumference_stdev_slope: float = 8.68e-4
+    fixed_errors_enabled: bool = True
+    random_errors_enabled: bool = True
+
+    def __post_init__(self) -> None:
+        if not 0 < self.wire_diameter < math.inf:
+            raise ValueError("wire_diameter must be finite and > 0")
+        for name in (
+            "bend_elongation_per_mm",
+            "cut_elongation",
+            "cut_match_stdev",
+            "juxtaposition_span",
+            "circumference_stdev_base",
+            "circumference_stdev_slope",
+        ):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
+
+    def bend_elongation(self) -> float:
+        """Straightened-length excess of a wire cut to fit the full circle.
+
+        The midline shortens when bent, so a wire cut to circumference length
+        while in the groove is longer once straightened; the term is added to
+        the piece. Proportional to wire diameter (0.057 mm per mm).
+        """
+        if not self.fixed_errors_enabled:
+            return 0.0
+        return self.bend_elongation_per_mm * self.wire_diameter
+
+    def cut_elongation_effective(self) -> float:
+        """Long-side bevel protrusion per cut, or 0 with fixed errors off."""
+        return self.cut_elongation if self.fixed_errors_enabled else 0.0
+
+    def cut_match_stdev_effective(self) -> float:
+        """Stdev of cutting one wire to match another, or 0 with random errors off."""
+        return self.cut_match_stdev if self.random_errors_enabled else 0.0
+
+    def juxtaposition_span_effective(self) -> float:
+        """Width of the uniform juxtaposition error, or 0 with random errors off."""
+        return self.juxtaposition_span if self.random_errors_enabled else 0.0
+
+    def circumference_stdev(self, radius: float) -> float:
+        """Stdev of laying the wire into the circular groove at this radius."""
+        if radius <= 0:
+            raise ValueError("radius must be > 0")
+        if not self.random_errors_enabled:
+            return 0.0
+        return self.circumference_stdev_base + self.circumference_stdev_slope * radius
+
+
+def flip_threshold(radius: float) -> float:
+    """Circumference error, in mm, that flips the second iteration from 5 to 4.
+
+    0.003% of the circumference: about 38 microns on a 200 mm radius circle.
+    Error sources well below this are ignorable.
+    """
+    if radius <= 0:
+        raise ValueError("radius must be > 0")
+    return FLIP_ERROR_FRACTION * 2.0 * math.pi * radius
+
+
+@dataclass(frozen=True)
+class TrialConfig:
+    """Geometry and error model for one measurement setup.
+
+    ``literal_rounding`` switches the second-iteration rounding to the
+    as-written branch kept for study; the default is nearest-integer
+    rounding, which is the only branch consistent with the fixed-only
+    ablation outcome.
+    """
+
+    radius: float = 450.0
+    error_model: ErrorModel = field(default_factory=ErrorModel)
+    literal_rounding: bool = False
+
+    def __post_init__(self) -> None:
+        if not 0 < self.radius < math.inf:
+            raise ValueError("radius must be finite and > 0")
+
+    @property
+    def six_r(self) -> float:
+        return 6.0 * self.radius
+
+    @property
+    def true_circumference(self) -> float:
+        return 2.0 * math.pi * self.radius
+
+
+@dataclass(frozen=True)
+class StoppingCriteria:
+    """Parameters of the clean-single-peak rule.
+
+    The peak must hold at least ``min_peak_count`` counts and be at least
+    ``peak_dominance`` times each adjacent bin; at least
+    ``min_consecutive_bins`` consecutive bins (the peak among them) must
+    exceed ``bin_threshold_fraction`` of the peak; and within that group the
+    counts must be strictly decreasing moving away from the peak on both
+    sides.
+
+    The decrease is strict: equal adjacent counts within the group mean the
+    flanks are not yet resolved and measuring continues. The weak
+    (non-increasing) variant stops campaigns roughly twice as early and
+    measurably degrades how often the selected peak is the true one.
+    """
+
+    min_peak_count: int = 5
+    peak_dominance: float = 1.05
+    min_consecutive_bins: int = 5
+    bin_threshold_fraction: float = 0.20
+
+    def __post_init__(self) -> None:
+        if self.min_peak_count < 1:
+            raise ValueError("min_peak_count must be >= 1")
+        if not 1.0 < self.peak_dominance < math.inf:
+            raise ValueError("peak_dominance must be finite and > 1")
+        if self.min_consecutive_bins < 1:
+            raise ValueError("min_consecutive_bins must be >= 1")
+        if not 0.0 < self.bin_threshold_fraction < 1.0:
+            raise ValueError("bin_threshold_fraction must be in (0, 1)")
 
 
 class ConfigError(ValueError):

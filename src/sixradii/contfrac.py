@@ -13,12 +13,15 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational, Real
 from typing import Callable, Iterable
 
 
 # A double resolves a real x only to about x / 2**53, and a convergent p/q is
 # within 1/q**2 of it, so a quotient giving q**2 * x above this is rounding noise.
 _FLOAT_RESOLUTION = 2**53
+# cf_expand's usual input types, tested before the slower abstract number types
+_PLAIN = frozenset((Fraction, float, int))
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,7 +45,10 @@ def cf_expand(
     expansion also stops, inexact, before a quotient whose convergent
     denominator q has q**2 * x > 2**53, past what a double resolves, whatever
     ``max_terms`` is; quotients up to the first nonzero one are always kept.
+    Any other binary float, such as numpy's float32, is a ValueError.
     """
+    if type(x) not in _PLAIN and isinstance(x, Real) and not isinstance(x, (float, Rational)):
+        raise ValueError(f"x must be a double or an exact rational, not {type(x).__name__}")
     p, d = _positive_ratio(x, "x")
     if max_terms is not None and max_terms < 1:
         raise ValueError("max_terms must be >= 1")

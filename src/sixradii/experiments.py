@@ -21,9 +21,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ErrorModel
-from .histogram import StoppingCriteria, run_campaign
-from .measurement import WINDOW_HI, TrialConfig, trial_blocks
+from .config import ErrorModel, StoppingCriteria, TrialConfig
+from .histogram import run_campaign
+from .measurement import WINDOW_HI, trial_blocks
 from .stochastics import RngState, _run_tasks, rng_new
 
 

@@ -12,12 +12,12 @@ time, runs it through :func:`stopping_prefix` on every prefix of a block.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .measurement import BLOCK_TRIALS, WINDOW_HI, DegenerateConfigError, TrialConfig, trial_blocks
+from .config import StoppingCriteria, TrialConfig
+from .measurement import BLOCK_TRIALS, WINDOW_HI, DegenerateConfigError, trial_blocks
 from .stochastics import RngState
 
 _CAMPAIGN_TRIAL_LIMIT = 1_000_000
@@ -78,39 +78,6 @@ class Histogram:
 
     def __repr__(self) -> str:
         return f"Histogram({self.as_dict()})"
-
-
-@dataclass(frozen=True)
-class StoppingCriteria:
-    """Parameters of the clean-single-peak rule.
-
-    The peak must hold at least ``min_peak_count`` counts and be at least
-    ``peak_dominance`` times each adjacent bin; at least
-    ``min_consecutive_bins`` consecutive bins (the peak among them) must
-    exceed ``bin_threshold_fraction`` of the peak; and within that group the
-    counts must be strictly decreasing moving away from the peak on both
-    sides.
-
-    The decrease is strict: equal adjacent counts within the group mean the
-    flanks are not yet resolved and measuring continues. The weak
-    (non-increasing) variant stops campaigns roughly twice as early and
-    measurably degrades how often the selected peak is the true one.
-    """
-
-    min_peak_count: int = 5
-    peak_dominance: float = 1.05
-    min_consecutive_bins: int = 5
-    bin_threshold_fraction: float = 0.20
-
-    def __post_init__(self) -> None:
-        if self.min_peak_count < 1:
-            raise ValueError("min_peak_count must be >= 1")
-        if not 1.0 < self.peak_dominance < math.inf:
-            raise ValueError("peak_dominance must be finite and > 1")
-        if self.min_consecutive_bins < 1:
-            raise ValueError("min_consecutive_bins must be >= 1")
-        if not 0.0 < self.bin_threshold_fraction < 1.0:
-            raise ValueError("bin_threshold_fraction must be in (0, 1)")
 
 
 def _passes(h: np.ndarray, criteria: StoppingCriteria) -> np.ndarray:

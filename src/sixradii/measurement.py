@@ -16,13 +16,12 @@ reference that the kernel is tested against lives with the tests.
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ErrorModel
+from .config import TrialConfig
 from .stochastics import RngState, derive_child, normal_block, uniform_block
 
 _RUNAWAY_LIMIT = 1_000_000
@@ -34,33 +33,6 @@ _FIRST_STEPS = 24  # copies laid on every row of the first count (21 pass the ma
 
 class DegenerateConfigError(RuntimeError):
     """Raised by the piece check, the first-iteration guard and the campaign trial limit."""
-
-
-@dataclass(frozen=True)
-class TrialConfig:
-    """Geometry and error model for one measurement setup.
-
-    ``literal_rounding`` switches the second-iteration rounding to the
-    as-written branch kept for study; the default is nearest-integer
-    rounding, which is the only branch consistent with the fixed-only
-    ablation outcome.
-    """
-
-    radius: float = 450.0
-    error_model: ErrorModel = field(default_factory=ErrorModel)
-    literal_rounding: bool = False
-
-    def __post_init__(self) -> None:
-        if not 0 < self.radius < math.inf:
-            raise ValueError("radius must be finite and > 0")
-
-    @property
-    def six_r(self) -> float:
-        return 6.0 * self.radius
-
-    @property
-    def true_circumference(self) -> float:
-        return 2.0 * math.pi * self.radius
 
 
 @dataclass(frozen=True)

@@ -135,8 +135,8 @@ class ReciprocalStudyConfig:
 
 class ReciprocalPoint(NamedTuple):
     denominator_stdev: float
-    peak_location: float
-    central_mean: float | None  # None when no sample lands in the window
+    peak_location: float | None  # both None when no sample lands in the window
+    central_mean: float | None
 
 
 def _run_tasks(fn: Callable, root: RngState, items: list, workers: int) -> list:
@@ -214,7 +214,7 @@ def _recip_point_worker(rng: RngState, item: tuple) -> ReciprocalPoint:
         deviation_sum += float(np.sum(chunk[:kept]))
         in_window += kept
         remaining -= n
-    peak = r0 + (int(np.argmax(counts)) - half_bins) * w
+    peak = r0 + (int(np.argmax(counts)) - half_bins) * w if in_window else None
     mean = r0 + deviation_sum / in_window if in_window else None
     return ReciprocalPoint(float(stdev), peak, mean)
 

@@ -7,8 +7,10 @@ fixed two-decimal coordinate formatting, '\\n' line endings.
 from __future__ import annotations
 
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .histogram import Histogram
+if TYPE_CHECKING:
+    from .histogram import Histogram
 
 _WIDTH = 640
 _HEIGHT = 400

@@ -15,12 +15,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from sixradii.histogram import Histogram, StoppingCriteria
+from sixradii.config import StoppingCriteria, TrialConfig
+from sixradii.histogram import Histogram
 from sixradii.measurement import (
     _RUNAWAY_LIMIT,
     WINDOW_HI,
     DegenerateConfigError,
-    TrialConfig,
     TrialResult,
     accumulate_until_exceeds,
 )

@@ -16,8 +16,8 @@ from fractions import Fraction
 from scipy.stats import spearmanr
 
 from sixradii.cli import main
+from sixradii.config import ErrorModel, StoppingCriteria, TrialConfig
 from sixradii.contfrac import cf_expand, convergent, euclid_quotients, pi_estimate
-from sixradii.errors import ErrorModel
 from sixradii.experiments import (
     AblationMode,
     SweepSpec,
@@ -29,8 +29,6 @@ from sixradii.experiments import (
     run_campaign_batch,
     summarize_success,
 )
-from sixradii.histogram import StoppingCriteria
-from sixradii.measurement import TrialConfig
 from sixradii.stochastics import ReciprocalStudyConfig, reciprocal_peak_curve, rng_new
 
 

@@ -9,8 +9,8 @@ import pytest
 
 from sixradii import cli
 from sixradii.cli import main
-from sixradii.errors import ErrorModel
-from sixradii.measurement import TrialConfig, trial_blocks
+from sixradii.config import ErrorModel, TrialConfig
+from sixradii.measurement import trial_blocks
 from sixradii.stochastics import rng_new
 
 COMMON = ["--formats", "csv,json"]
@@ -89,12 +89,19 @@ def test_success_without_a_decision_writes_null_not_nan(tmp_path, capsys):
 
 def test_recip_without_a_sample_in_the_window_writes_null_not_nan(tmp_path, capsys):
     # r0 = 0 gives one bin, here far too narrow to catch a sample
-    code, _, _ = run(capsys, "recip", "--num-mean", "0", "--bin-width", "1e-300",
-                     "--samples", "10000", "--stdevs", "0.1", "--seed", "1",
-                     "--out", str(tmp_path), *COMMON)
+    code, out, _ = run(capsys, "recip", "--num-mean", "0", "--bin-width", "1e-300",
+                       "--samples", "10000", "--stdevs", "0.1", "--seed", "1",
+                       "--out", str(tmp_path), *COMMON)
     assert code == 0
-    assert _strict_json(tmp_path / "recip.json")["results"]["points"] == [[0.1, 0.0, None]]
-    assert (tmp_path / "recip.csv").read_text().splitlines()[1] == "0.1,0.0,"
+    assert out == "points=1 first_peak=nan last_peak=nan\n"
+    assert _strict_json(tmp_path / "recip.json")["results"]["points"] == [[0.1, None, None]]
+    assert (tmp_path / "recip.csv").read_text().splitlines()[1] == "0.1,,"
+    # a numerator spread far past the +-5 r0 window: no peak at the window's edge
+    code, out, _ = run(capsys, "recip", "--num-stdev", "1e9", "--samples", "10000",
+                       "--stdevs", "0,0.1", "--seed", "1", "--out", str(tmp_path), *COMMON)
+    assert code == 0
+    assert out == "points=2 first_peak=nan last_peak=nan\n"
+    assert (tmp_path / "recip.csv").read_text().splitlines()[1:] == ["0.0,,", "0.1,,"]
 
 
 # cf and recip do not use the trial model, but a config it rejects still fails
@@ -254,7 +261,7 @@ def test_a_stream_is_its_address_until_it_draws():
 
 def test_unknown_config_key_exits_two(tmp_path, capsys):
     # a measured but unmodelled quantity is not a key either, nor is a stdev
-    # pinned at one radius (errors.py says why the fitted line needs none)
+    # pinned at one radius (the ErrorModel docstring says why the fitted line needs none)
     for key in ("not_a_key", "cut_shortening_short_side", "circumference_stdev_override"):
         config = tmp_path / "run.cfg"
         config.write_text(f"{key} = 3\n")

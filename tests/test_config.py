@@ -5,16 +5,16 @@ import pytest
 from sixradii.config import (
     SCHEMA,
     ConfigError,
+    ErrorModel,
     RunConfig,
+    StoppingCriteria,
+    TrialConfig,
     digest,
     parse_config_text,
     parse_value,
     resolve,
     serialize,
 )
-from sixradii.errors import ErrorModel
-from sixradii.histogram import StoppingCriteria
-from sixradii.measurement import TrialConfig
 
 
 def test_defaults_build_default_domain_objects():

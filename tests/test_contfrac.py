@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -135,6 +136,15 @@ def test_a_numpy_double_keeps_the_resolution_stop(deadline):
     with deadline(5):
         assert cf_expand(np.float64(math.pi / 3)) == cf_expand(math.pi / 3)
     assert not cf_expand(np.float64(math.pi / 3)).exact
+
+
+@pytest.mark.parametrize("float_type", [np.float32, np.float16, np.longdouble])
+def test_a_float_other_than_a_double_is_rejected(float_type):
+    # its exact value is not the double's, and the double's resolution stop
+    # does not fit it: float32(pi/3) would expand exactly as [1; 21, 5, 3, 145, ...]
+    with pytest.raises(ValueError, match=f"x must be .*{float_type.__name__}"):
+        cf_expand(float_type(math.pi / 3))
+    assert cf_expand(Decimal("2.75")) == CFExpansion((2, 1, 3), True)
 
 
 def test_exact_fraction_expansion():

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from sixradii.errors import ErrorModel, flip_threshold
+from sixradii.config import ErrorModel, flip_threshold
 
 
 def test_bend_elongation_default_diameter():

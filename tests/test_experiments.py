@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from sixradii.errors import ErrorModel
+from sixradii.config import ErrorModel, StoppingCriteria, TrialConfig
 from sixradii.experiments import (
     AblationMode,
     CostCapError,
@@ -15,8 +15,7 @@ from sixradii.experiments import (
     run_campaign_batch,
     summarize_success,
 )
-from sixradii.histogram import StoppingCriteria, run_campaign
-from sixradii.measurement import TrialConfig
+from sixradii.histogram import run_campaign
 from sixradii.stochastics import derive_child, rng_new
 
 

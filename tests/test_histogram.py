@@ -3,15 +3,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sixradii.errors import ErrorModel
+from sixradii.config import ErrorModel, StoppingCriteria, TrialConfig
 from sixradii.histogram import (
     Histogram,
-    StoppingCriteria,
     run_campaign,
     stopping_met,
     stopping_prefix,
 )
-from sixradii.measurement import DegenerateConfigError, TrialConfig, trial_block
+from sixradii.measurement import DegenerateConfigError, trial_block
 from sixradii.stochastics import derive_child, rng_new
 
 import reference

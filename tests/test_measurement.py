@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2_contingency, ks_2samp
 
-from sixradii.errors import ErrorModel
+from sixradii.config import ErrorModel, TrialConfig
 from sixradii.experiments import AblationMode, apply_ablation
 from sixradii.measurement import (
     _FIRST_STEPS,
@@ -16,7 +16,6 @@ from sixradii.measurement import (
     BLOCK_TRIALS,
     WINDOW_HI,
     DegenerateConfigError,
-    TrialConfig,
     TrialResult,
     _lay,
     accumulate_until_exceeds,

@@ -1,4 +1,4 @@
-"""The package namespace: names resolve lazily, and the exact path runs without numpy."""
+"""The package namespace: names resolve lazily, and the pure-Python modules run without numpy."""
 
 import importlib
 import os
@@ -12,10 +12,15 @@ import sixradii
 
 
 def test_the_exact_path_loads_no_numpy():
-    # contfrac is pure Python; the package __init__ must not pull numpy in for it
-    probe = ("import sys, sixradii, sixradii.contfrac as c; "
+    # contfrac, the parameter objects and config, and the report writers are
+    # pure Python; the package __init__ must not pull numpy in for them
+    probe = ("import sys, sixradii, sixradii.contfrac as c, sixradii.config as config, "
+             "sixradii.reports as reports, sixradii.svgplot; "
              "c.cf_expand(c.Fraction(111, 106)); c.convergent([1, 21, 5]); "
              "c.euclid_quotients(355, 113); "
+             "sixradii.TrialConfig(); sixradii.StoppingCriteria(); "
+             "cfg = config.resolve({}, {'radius': 300.0}); config.digest(cfg); "
+             "reports.provenance_payload('trial', cfg, {}, {}); "
              "print([m for m in sys.modules if m == 'numpy' or m.startswith('numpy.')])")
     env = {**os.environ, "PYTHONPATH": str(Path(sixradii.__file__).parents[1])}
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,

@@ -191,6 +191,8 @@ def _reference_point(cfg, rng, j):
                               minlength=counts.size)
         deviation_sum += float(np.sum(deviations[keep]))
         in_window += int(np.count_nonzero(keep))
+    if not in_window:
+        return None, None
     peak = r0 + (int(np.argmax(counts)) - half_bins) * cfg.bin_width
     return peak, r0 + deviation_sum / in_window
 
