@@ -128,7 +128,7 @@ def run_campaign_batch(
         raise ValueError("n_campaigns must be >= 1")
     root = seed if isinstance(seed, RngState) else rng_new(seed)
     items = [(cfg, criteria, max_measurements)] * n_campaigns
-    return _run_tasks(_campaign_worker, root, items, workers)
+    return list(_run_tasks(_campaign_worker, root, items, workers))
 
 
 def summarize_success(outcomes: Sequence[CampaignOutcome]) -> SuccessStats:
@@ -193,7 +193,7 @@ def radius_first_iteration_sweep(
     if trials_per_radius < 1:
         raise ValueError("trials_per_radius must be >= 1")
     items = [(float(radius), trials_per_radius, cfg_template) for radius in radii]
-    return _run_tasks(_radius_sweep_worker, rng_new(seed), items, workers)
+    return list(_run_tasks(_radius_sweep_worker, rng_new(seed), items, workers))
 
 
 def _grid_cell_worker(rng: RngState, item: tuple) -> GridCell:
@@ -222,4 +222,4 @@ def radius_budget_grid(
         (float(radius), int(budget), spec.campaigns_per_cell, cfg_template)
         for radius, budget in cells
     ]
-    return _run_tasks(_grid_cell_worker, rng_new(spec.base_seed), items, workers)
+    return list(_run_tasks(_grid_cell_worker, rng_new(spec.base_seed), items, workers))

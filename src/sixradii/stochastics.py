@@ -10,28 +10,32 @@ The package's one batch-worker helper, :func:`_run_tasks`, lives here, at the
 bottom of the import graph, so that both the ratio study below and the batch
 experiments in :mod:`sixradii.experiments` fan out through it. A batch is a
 root stream and a list of items, and item i runs on child stream i of the
-root, whichever process runs it. The caller derives the children, and a
-pool worker is sent each child as its address: a state builds its numpy
-generator on its first draw.
+root (or on the path below the root that the caller gives it), whichever
+process runs it. The helper derives the streams, and a pool worker is sent
+each as its address: a state builds its numpy generator on its first draw.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 _MAX_SEED = 2**64
 
-# Samples per numerator draw in the ratio study. A chunk's numerators are one
-# ``standard_normal`` call, so this fixes the stream layout; their buffer is a
-# grid point's only chunk-sized array, so it also sets the worker's peak memory.
+# Samples per chunk of the ratio study. Chunk c of grid point j is one task, on
+# stream (seed, j, c), so this fixes the stream layout and the task size; a
+# chunk is drawn tile by tile, so it sets no buffer's size.
 _STUDY_CHUNK = 4_000_000
-# Samples per tile of the work after a chunk's numerator draw: small enough
-# that a tile's buffers stay in cache. Tiling moves no draw and no sum.
+# Samples per tile: small enough that a tile's buffers stay in cache. Tiling
+# moves no draw, no count and no addition of the deviation sum.
 _TILE = 65_536
+# Kept deviations per block of a chunk's deviation sum. The chunk's kept
+# deviations, in sample order, are summed block by block (numpy's pairwise
+# sum) and the block sums added in order, so this fixes the mean's rounding.
+_SUM_BLOCK = 4096
 
 
 class RngState:
@@ -126,8 +130,8 @@ class ReciprocalStudyConfig:
             raise ValueError("samples_per_point must be >= 10000")
         if not 0 < self.bin_width < math.inf:
             raise ValueError("bin_width must be finite and > 0")
-        # 2 * ceil(5 * |r0| / bin_width) + 1 bins, at most 4,000,001: the
-        # histogram is never larger than one chunk buffer
+        # 2 * ceil(5 * |r0| / bin_width) + 1 bins, at most 4,000,001 (32 MB
+        # a histogram)
         if not 5.0 * abs(self.numerator_mean / self.denominator_mean) / self.bin_width <= 2e6:
             raise ValueError("bin_width must be >= 5 * |numerator_mean / denominator_mean| / 2e6 "
                              "(at most 4000001 histogram bins)")
@@ -139,62 +143,80 @@ class ReciprocalPoint(NamedTuple):
     central_mean: float | None
 
 
-def _run_tasks(fn: Callable, root: RngState, items: list, workers: int) -> list:
-    """``[fn(derive_child(root, i), item) for i, item in enumerate(items)]``.
+def _run_tasks(fn: Callable, root: RngState, items: list, workers: int,
+               paths: list[tuple[int, ...]] | None = None) -> Iterator:
+    """Yield ``fn(stream, item)`` for each item, in item order.
 
     The one batch-worker helper of the package: every batch goes through it,
-    on up to ``workers`` processes. Item i always runs on child stream i of
-    ``root`` and results come back in item order, so a batch gives the same
-    results at any worker count. A worker is sent each item with its child
-    stream, derived here and not yet drawn, so sent as its address. Items go
-    out in about four chunks per worker: enough to even out items of uneven
-    cost, few enough to keep the round trips cheap.
+    on up to ``workers`` processes. Item i runs on the stream at ``paths[i]``
+    below ``root``, by default ``(i,)``: child stream i. Results come back in
+    item order, so a batch gives the same results at any worker count, and
+    lazily, so a caller that folds them holds few at once. A worker is sent
+    each item with its stream, derived here and not yet drawn, so sent as its
+    address. Items go out in about four chunks per worker: enough to even out
+    items of uneven cost, few enough to keep the round trips cheap.
     """
-    streams = [derive_child(root, i) for i in range(len(items))]
+    if paths is None:
+        streams = [derive_child(root, i) for i in range(len(items))]
+    else:
+        streams = [RngState(root.seed, root.path + tuple(path)) for path in paths]
     if workers <= 1 or len(items) <= 1:
-        return list(map(fn, streams, items))
+        yield from map(fn, streams, items)
+        return
     # imported here, so that importing the package loads no process machinery
     from concurrent.futures import ProcessPoolExecutor
 
     chunksize = max(1, len(items) // (4 * workers))
     with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, streams, items, chunksize=chunksize))
+        yield from pool.map(fn, streams, items, chunksize=chunksize)
 
 
-def _recip_point_worker(rng: RngState, item: tuple) -> ReciprocalPoint:
-    cfg, stdev = item
-    generator = rng.generator
+def _recip_window(cfg: ReciprocalStudyConfig) -> tuple[float, int]:
+    """The histogram's center r0 and its number of bins on either side."""
     r0 = cfg.numerator_mean / cfg.denominator_mean
+    return r0, int(np.ceil(5.0 * abs(r0) / cfg.bin_width))
+
+
+def _recip_chunk_worker(rng: RngState, item: tuple) -> tuple:
+    """Occupied bins, their counts, in-window count and deviation sum of a chunk.
+
+    The bins go back as int32 pairs (a chunk's counts fit, as a chunk has
+    fewer than 2**31 samples), so a chunk's result is never larger than the
+    point's histogram and is usually far smaller.
+
+    Numerators come from child 0 of the chunk's stream and denominators from
+    child 1, each drawn tile by tile into a tile buffer; consecutive draws
+    into tiles are the draws of one call, and the kept deviations are summed
+    in blocks of ``_SUM_BLOCK`` across tiles, so no result depends on the tile.
+    """
+    cfg, stdev, n = item
+    numerator_draws = derive_child(rng, 0).generator
+    denominator_draws = derive_child(rng, 1).generator
+    r0, half_bins = _recip_window(cfg)
     w = cfg.bin_width
-    half_bins = int(np.ceil(5.0 * abs(r0) / w))
-    # One chunk buffer: a chunk's numerators, drawn in one call, which then
-    # collects the kept deviations in sample order. Each tile's kept deviations
-    # end at or before the tile's own end, so they overwrite only numerators
-    # already used. Everything else lives in tile buffers.
-    chunk = np.empty(min(cfg.samples_per_point, _STUDY_CHUNK))
-    tile = min(chunk.size, _TILE)
-    den_buf, off_buf, abs_buf = np.empty(tile), np.empty(tile), np.empty(tile)
+    tile = min(n, _TILE)
+    num_buf, den_buf, off_buf, abs_buf = (np.empty(tile) for _ in range(4))
     idx_buf, keep_buf = np.empty(tile, dtype=np.int64), np.empty(tile, dtype=bool)
     counts = np.zeros(2 * half_bins + 1, dtype=np.int64)
-    deviation_sum = 0.0
     in_window = 0
-    remaining = cfg.samples_per_point
-    while remaining > 0:
-        n = min(remaining, _STUDY_CHUNK)
-        generator.standard_normal(out=chunk[:n])
-        kept = 0
+    deviation_sum = 0.0
+    pending = np.empty(_SUM_BLOCK + tile)  # kept deviations not yet in a full block
+    held = 0
+    # A denominator near zero, or a stdev near the float limit, gives huge,
+    # infinite or NaN ratios: they stay in the sample but fall outside the
+    # window, so the arithmetic on them warns of nothing.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for start in range(0, n, tile):
             m = min(tile, n - start)
-            # standard_normal * stdev + mean is bit for bit normal(mean, stdev),
-            # and consecutive draws into tiles are the draws of one call
-            numerators, denominators = chunk[start:start + m], den_buf[:m]
+            # standard_normal * stdev + mean is bit for bit normal(mean, stdev)
+            numerators, denominators = num_buf[:m], den_buf[:m]
+            numerator_draws.standard_normal(out=numerators)
             numerators *= cfg.numerator_stdev
             numerators += cfg.numerator_mean
-            generator.standard_normal(out=denominators)
+            denominator_draws.standard_normal(out=denominators)
             denominators *= stdev
             denominators += cfg.denominator_mean
-            with np.errstate(divide="ignore", invalid="ignore"):
-                deviations = np.divide(numerators, denominators, out=denominators)
+            deviations = np.divide(numerators, denominators, out=denominators)
             deviations -= r0
             offsets = np.rint(np.divide(deviations, w, out=off_buf[:m]), out=off_buf[:m])
             # NaN and +-inf offsets fail the comparison, so no isfinite mask is needed
@@ -202,21 +224,23 @@ def _recip_point_worker(rng: RngState, item: tuple) -> ReciprocalPoint:
             # cast the whole tile into its buffer, then select (casting the
             # selected floats makes two fresh arrays and is several times
             # slower); the casts of NaN and inf offsets are never selected
-            with np.errstate(invalid="ignore"):
-                np.copyto(idx_buf[:m], offsets, casting="unsafe")
+            np.copyto(idx_buf[:m], offsets, casting="unsafe")
             idx = idx_buf[:m][keep]
             idx += half_bins
             # add.at, not bincount: its cost does not grow with the bin count
             np.add.at(counts, idx, 1)
-            chunk[kept:kept + idx.size] = deviations[keep]
-            kept += idx.size
-        # the same compacted deviations, in the same order, as one array sum
-        deviation_sum += float(np.sum(chunk[:kept]))
-        in_window += kept
-        remaining -= n
-    peak = r0 + (int(np.argmax(counts)) - half_bins) * w if in_window else None
-    mean = r0 + deviation_sum / in_window if in_window else None
-    return ReciprocalPoint(float(stdev), peak, mean)
+            in_window += idx.size
+            pending[held:held + idx.size] = deviations[keep]
+            held += idx.size
+            if held >= _SUM_BLOCK:
+                full = held - held % _SUM_BLOCK
+                for block_sum in pending[:full].reshape(-1, _SUM_BLOCK).sum(axis=1).tolist():
+                    deviation_sum += block_sum
+                pending[:held - full] = pending[full:held]
+                held -= full
+    deviation_sum += float(np.sum(pending[:held]))
+    bins = np.flatnonzero(counts)
+    return bins.astype(np.int32), counts[bins].astype(np.int32), in_window, deviation_sum
 
 
 def reciprocal_peak_curve(
@@ -232,13 +256,37 @@ def reciprocal_peak_curve(
     and mean describe the central mass. The mean is accumulated as deviations
     from r0, which keeps the degenerate all-constant grid point exact.
 
-    Grid point j is item j of one :func:`_run_tasks` batch, on up to
-    ``workers`` processes. It draws from child stream ``derive_child(rng, j)``
-    in chunks of at most ``_STUDY_CHUNK`` samples, so extending the grid does
-    not disturb earlier points, and every result is the same at any worker
-    count. A chunk's numerators are one draw into the point's one chunk-sized
-    buffer; the rest of the chunk runs in tiles of ``_TILE`` samples, whose
-    denominator draws continue the same stream, so tiling changes no result.
+    Grid point j is cut into chunks of ``_STUDY_CHUNK`` samples (the last may
+    be partial), and chunk c runs on stream ``(seed, j, c)`` as one item of a
+    single :func:`_run_tasks` batch, on up to ``workers`` processes. So
+    extending the grid does not disturb earlier points, and every result is
+    the same at any worker count. Each point's chunk results are merged in
+    chunk order as they arrive: bin and in-window counts are summed, and the
+    mean's deviation sum adds the chunk sums in chunk order. A chunk sums its
+    kept deviations, in sample order, in blocks of ``_SUM_BLOCK`` (numpy's
+    pairwise sum within a block) and adds the block sums in order. A chunk
+    sends back only its occupied bins, so the merge holds the point's
+    histogram and little more.
     """
-    items = [(cfg, stdev) for stdev in cfg.denominator_stdevs]
-    return _run_tasks(_recip_point_worker, rng, items, workers)
+    chunks = [min(_STUDY_CHUNK, cfg.samples_per_point - start)
+              for start in range(0, cfg.samples_per_point, _STUDY_CHUNK)]
+    items = [(cfg, stdev, n) for stdev in cfg.denominator_stdevs for n in chunks]
+    paths = [(j, c) for j in range(len(cfg.denominator_stdevs)) for c in range(len(chunks))]
+    r0, half_bins = _recip_window(cfg)
+    points = []
+    c = 0  # the chunk's index in its point: a counter, as enumerate's reused
+    # pair would keep the last chunk's result alive while the next is drawn
+    for bins, hits, n, chunk_sum in _run_tasks(_recip_chunk_worker, rng, items, workers, paths):
+        if c == 0:
+            counts = np.zeros(2 * half_bins + 1, dtype=np.int64)
+            in_window, deviation_sum = 0, 0.0
+        counts[bins] += hits
+        in_window += n
+        deviation_sum += chunk_sum
+        del bins, hits
+        c = (c + 1) % len(chunks)
+        if c == 0:
+            peak = r0 + (int(np.argmax(counts)) - half_bins) * cfg.bin_width if in_window else None
+            mean = r0 + deviation_sum / in_window if in_window else None
+            points.append(ReciprocalPoint(float(cfg.denominator_stdevs[len(points)]), peak, mean))
+    return points

@@ -104,6 +104,18 @@ def test_recip_without_a_sample_in_the_window_writes_null_not_nan(tmp_path, caps
     assert (tmp_path / "recip.csv").read_text().splitlines()[1:] == ["0.0,,", "0.1,,"]
 
 
+@pytest.mark.parametrize("spread", [["--stdevs", "1e308"],
+                                    ["--num-stdev", "1e308", "--stdevs", "0.1"]],
+                         ids=["denominator", "numerator"])
+def test_recip_near_the_float_limit_warns_of_nothing(spread, tmp_path):
+    # overflowing draws and ratios are kept in the sample, outside the window
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-m", "sixradii.cli", "recip", "--samples", "10000",
+                             *spread, "--out", str(tmp_path)],
+                            capture_output=True, text=True, env=env)
+    assert (result.returncode, result.stderr) == (0, "")
+
+
 # cf and recip do not use the trial model, but a config it rejects still fails
 @pytest.mark.parametrize("argv", [["trial"], ["cf", "--value", "pi/3"], ["recip"]],
                          ids=lambda argv: argv[0])

@@ -71,9 +71,9 @@ _GOLDEN = {
         "stdout": "b0a7f575d56cc0d330568199c8624987235e6b6e261bf2a7c3defc13df480dff",
     },
     "recip": {
-        "recip.csv": "1ff262adb11a458b3efe5667777b3d634f7130bcdb2f63270bd7f3cdd541520f",
-        "recip.json": "b6803fc0f03c5f44561329a69e24ac44b8bdcdb9d4f3e591be2cb6ee64d27de1",
-        "stdout": "e2b128b5e18c1b4c7eaf0a43b8cd38d5fcf3a45f4fd8e6fb2e0cdcfa1a5d16f4",
+        "recip.csv": "abf01e1c3a528d821baf24753cb9d49add03d3ea7858ee5ff4d56052ca772f1c",
+        "recip.json": "de34b4cfe793bdd5edd388df85785859d2f77a7eed658103176db1d07b58148f",
+        "stdout": "e8673a5116f5e41d5d40591ff63070d91a48fb7b1bf839f46a7cd73604ac599e",
     },
     "success": {
         "success.csv": "86aa95b712967fa176416ac5e62ca3bbb384de5b736a0d2ad6c8b29c9bba82fc",

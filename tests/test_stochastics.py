@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -169,9 +170,10 @@ def test_reciprocal_deterministic():
 
 
 def _reference_point(cfg, rng, j):
-    """Grid point j of the ratio study, written plainly: ``normal(mean, stdev, n)``
-    on the same stream and chunks, with an explicit finiteness mask."""
-    generator = derive_child(rng, j).generator
+    """Grid point j of the ratio study, written plainly: chunk c draws
+    ``normal(mean, stdev, n)`` numerators from stream ``(seed, j, c, 0)`` and
+    denominators from ``(seed, j, c, 1)``, masks explicitly for finiteness and
+    sums each chunk's kept deviations slice by slice, then the chunk sums."""
     stdev = cfg.denominator_stdevs[j]
     r0 = cfg.numerator_mean / cfg.denominator_mean
     half_bins = int(np.ceil(5.0 * abs(r0) / cfg.bin_width))
@@ -179,17 +181,23 @@ def _reference_point(cfg, rng, j):
     deviation_sum = 0.0
     in_window = 0
     chunk = stochastics._STUDY_CHUNK
-    for start in range(0, cfg.samples_per_point, chunk):
+    for c, start in enumerate(range(0, cfg.samples_per_point, chunk)):
         n = min(chunk, cfg.samples_per_point - start)
-        numerators = generator.normal(cfg.numerator_mean, cfg.numerator_stdev, n)
-        denominators = generator.normal(cfg.denominator_mean, stdev, n)
+        stream = derive_child(derive_child(rng, j), c)
+        numerators = derive_child(stream, 0).generator.normal(
+            cfg.numerator_mean, cfg.numerator_stdev, n)
+        denominators = derive_child(stream, 1).generator.normal(cfg.denominator_mean, stdev, n)
         with np.errstate(divide="ignore", invalid="ignore"):
             deviations = numerators / denominators - r0
         offsets = np.rint(deviations / cfg.bin_width)
         keep = np.isfinite(offsets) & (np.abs(offsets) <= half_bins)
         counts += np.bincount(offsets[keep].astype(np.int64) + half_bins,
                               minlength=counts.size)
-        deviation_sum += float(np.sum(deviations[keep]))
+        kept = deviations[keep]
+        chunk_sum = 0.0
+        for start in range(0, kept.size, stochastics._SUM_BLOCK):
+            chunk_sum += float(np.sum(kept[start:start + stochastics._SUM_BLOCK]))
+        deviation_sum += chunk_sum
         in_window += int(np.count_nonzero(keep))
     if not in_window:
         return None, None
@@ -218,17 +226,100 @@ def test_reciprocal_tiles_change_no_bit(stdev, tile, monkeypatch):
     assert (point.peak_location, point.central_mean) == _reference_point(cfg, rng_new(17), 0)
 
 
-def test_reciprocal_point_memory_is_one_chunk(monkeypatch):
-    # the chunk buffer is the only chunk-sized array a grid point allocates
-    monkeypatch.setattr(stochastics, "_STUDY_CHUNK", 1_000_000)
-    cfg = ReciprocalStudyConfig(denominator_stdevs=(0.2,), samples_per_point=2_500_000)
+def _traced_peak(cfg):
     tracemalloc.start()
     try:
         reciprocal_peak_curve(cfg, rng_new(19))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 8 * stochastics._STUDY_CHUNK
+    return peak
+
+
+def test_reciprocal_point_memory_does_not_grow_with_chunk_or_samples(monkeypatch):
+    # a point holds tile buffers and its histogram; a 1M-sample chunk buffer
+    # would add 8 MB
+    peaks = []
+    for chunk, samples in [(100_000, 200_000), (100_000, 1_000_000), (1_000_000, 2_500_000)]:
+        monkeypatch.setattr(stochastics, "_STUDY_CHUNK", chunk)
+        cfg = ReciprocalStudyConfig(denominator_stdevs=(0.2,), samples_per_point=samples)
+        peaks.append(_traced_peak(cfg))
+    assert max(peaks) - min(peaks) < 256 * 1024
+    assert max(peaks) < 12 * 8 * stochastics._TILE
+
+
+def test_reciprocal_fine_bins_merge_two_histograms_at_a_time(monkeypatch):
+    # 1,000,001 bins over 6 chunks: the merge holds the point's histogram and
+    # the arriving chunk's, never one per chunk
+    monkeypatch.setattr(stochastics, "_STUDY_CHUNK", 100_000)
+    cfg = ReciprocalStudyConfig(denominator_stdevs=(0.2,), samples_per_point=600_000,
+                                bin_width=5e-5)
+    histogram_bytes = 8 * (2 * 500_000 + 1)
+    assert _traced_peak(cfg) < 3 * histogram_bytes
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_extending_the_grid_leaves_earlier_points_alone(workers, monkeypatch, deadline):
+    monkeypatch.setattr(stochastics, "_STUDY_CHUNK", 4096)
+    short = ReciprocalStudyConfig(denominator_stdevs=(0.1, 0.2), samples_per_point=10_007)
+    extended = replace(short, denominator_stdevs=(0.1, 0.2, 0.5))
+    with deadline(60):
+        assert (reciprocal_peak_curve(extended, rng_new(23), workers=workers)[:2]
+                == reciprocal_peak_curve(short, rng_new(23), workers=workers))
+
+
+def _ratio_moments(cfg, stdev, lo, hi):
+    """P(lo < R < hi), E[R; lo < R < hi] and E[R^2; lo < R < hi] for R = N / D.
+
+    Each is an integral over d > 0 of the density of D times a closed form in
+    N's normal cdf and pdf over n in (lo d, hi d), taken by the trapezoid
+    rule on a fixed grid (it matches adaptive ``quad`` to about 1e-14 here).
+    D <= 0 puts R in the study's window with probability below 1e-9.
+    """
+    special = pytest.importorskip("scipy.special")
+    mu, sigma = cfg.numerator_mean, cfg.numerator_stdev
+    d = np.linspace(0.0, cfg.denominator_mean + 10 * stdev, 30_001)[1:]
+    density = (np.exp(-0.5 * ((d - cfg.denominator_mean) / stdev) ** 2)
+               / (stdev * math.sqrt(2 * math.pi)))
+
+    def below(x):
+        # integrals of 1, n and n^2 times N's density up to x
+        z = (x - mu) / sigma
+        cdf, pdf = special.ndtr(z), np.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
+        return (cdf, mu * cdf - sigma * pdf,
+                (mu * mu + sigma * sigma) * cdf - sigma * pdf * (mu + x))
+
+    lo_parts = below(np.multiply.outer(lo, d))
+    hi_parts = below(np.multiply.outer(hi, d))
+    return tuple(np.trapezoid(density * (h - l) / d**k, d)
+                 for k, (l, h) in enumerate(zip(lo_parts, hi_parts)))
+
+
+def test_reciprocal_chunk_matches_the_ratio_of_normals():
+    # Marsaglia's ratio of normals, at the study's defaults and denominator
+    # stdev 0.2: one 4e6-sample chunk on stream (5, 0, 0). Thresholds fixed
+    # before the first run: chi-square over the 51 central bins below its
+    # 1e-3 upper quantile, in-window mass and mean within 4 standard errors.
+    stats = pytest.importorskip("scipy.stats")
+    stdev, n = 0.2, 4_000_000
+    cfg = ReciprocalStudyConfig(denominator_stdevs=(stdev,), samples_per_point=n)
+    bins, hits, in_window, deviation_sum = stochastics._recip_chunk_worker(
+        derive_child(derive_child(rng_new(5), 0), 0), (cfg, stdev, n))
+    r0, w, half_bins = 5.0, cfg.bin_width, 1250
+    counts = np.zeros(2 * half_bins + 1, dtype=np.int64)
+    counts[bins] = hits
+    offsets = np.arange(-25, 26)
+    probabilities, _, _ = _ratio_moments(cfg, stdev, r0 + (offsets - 0.5) * w,
+                                         r0 + (offsets + 0.5) * w)
+    observed = counts[half_bins - 25:half_bins + 26]
+    expected = n * probabilities
+    assert float(np.sum((observed - expected) ** 2 / expected)) < stats.chi2.isf(1e-3, 51)
+
+    edge = (half_bins + 0.5) * w
+    mass, first, second = _ratio_moments(cfg, stdev, r0 - edge, r0 + edge)
+    assert abs(in_window - n * mass) < 4 * math.sqrt(n * mass * (1 - mass))
+    mean, variance = first / mass, second / mass - (first / mass) ** 2
+    assert abs(r0 + deviation_sum / in_window - mean) < 4 * math.sqrt(variance / in_window)
 
 
 @pytest.mark.parametrize("stdevs", [(0.1,), (0.0, 0.2), (0.0, 0.05, 0.1, 0.5, 2.0)],
