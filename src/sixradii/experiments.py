@@ -10,6 +10,9 @@ derives child stream i of the batch root for item i and sends each worker
 its items with their streams. Batches can therefore be chunked across
 processes with results identical to a serial run. Trials come from
 :func:`~sixradii.measurement.trial_blocks`, one block kernel call per block.
+
+numpy is imported by the functions that count trial outcomes, on their first
+call, so importing this module loads no numpy.
 """
 
 from __future__ import annotations
@@ -18,8 +21,6 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple, Sequence
-
-import numpy as np
 
 from .config import ErrorModel, StoppingCriteria, TrialConfig
 from .histogram import run_campaign
@@ -164,6 +165,8 @@ def ablation_distribution(
     setup piles all mass into one bin, which the stopping rule can never
     accept, so ablation answers are read from the trial outcomes directly.
     """
+    import numpy as np
+
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     ablated = replace(cfg, error_model=apply_ablation(cfg.error_model, mode))
@@ -174,6 +177,8 @@ def ablation_distribution(
 
 
 def _radius_sweep_worker(rng: RngState, item: tuple) -> RadiusSweepPoint:
+    import numpy as np
+
     radius, trials, cfg = item
     blocks = trial_blocks(rng, replace(cfg, radius=radius), trials)
     hits = sum(int(np.count_nonzero(block.first == 21)) for block in blocks)

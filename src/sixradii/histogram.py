@@ -8,17 +8,22 @@ both flanks. The peak bin is then selected as the answer.
 The rule is written once, over a stack of histograms. :func:`stopping_met`
 runs it on one histogram; a campaign, which takes its trials a block at a
 time, runs it through :func:`stopping_prefix` on every prefix of a block.
+
+numpy is imported by the functions that count, on their first call, so
+importing this module loads no numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .config import StoppingCriteria, TrialConfig
 from .measurement import BLOCK_TRIALS, WINDOW_HI, DegenerateConfigError, trial_blocks
 from .stochastics import RngState
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _CAMPAIGN_TRIAL_LIMIT = 1_000_000
 
@@ -42,6 +47,8 @@ class Histogram:
 
     def record_all(self, values: np.ndarray) -> None:
         """Record an integer array; values below ``lo`` are underflow, above ``hi`` overflow."""
+        import numpy as np
+
         below, above = values < self.lo, values > self.hi
         self.underflow += int(np.count_nonzero(below))
         self.overflow += int(np.count_nonzero(above))
@@ -89,6 +96,8 @@ def _passes(h: np.ndarray, criteria: StoppingCriteria) -> np.ndarray:
     uniquely identifiable. Flank counts must strictly decrease away from the
     peak within the group. An empty row never passes.
     """
+    import numpy as np
+
     rows = np.arange(len(h))
     n_bins = h.shape[1]
     peak = h.argmax(axis=1)  # ties break toward the lowest bin, as peak_bin
@@ -114,6 +123,8 @@ def _passes(h: np.ndarray, criteria: StoppingCriteria) -> np.ndarray:
 
 def stopping_met(hist: Histogram, criteria: StoppingCriteria) -> bool:
     """True when the histogram shows one clean, well-supported peak."""
+    import numpy as np
+
     return bool(_passes(np.array([hist.counts]), criteria)[0])
 
 
@@ -124,6 +135,8 @@ def stopping_prefix(hist: Histogram, values: np.ndarray, criteria: StoppingCrite
     histogram is a row of a one-hot cumulative sum, and the rule runs on all
     rows at once.
     """
+    import numpy as np
+
     bins = np.arange(hist.lo, hist.hi + 1)
     h = np.cumsum(values[:, None] == bins, axis=0) + np.array(hist.counts)
     hits = np.flatnonzero(_passes(h, criteria))
@@ -169,6 +182,8 @@ def run_campaign(
     ``max_measurements`` and ``selected`` stays None (a fixed-budget campaign
     reads its answer from ``histogram.peak_bin()``).
     """
+    import numpy as np
+
     if max_measurements < 1:
         raise ValueError("max_measurements must be >= 1")
     hist = Histogram()

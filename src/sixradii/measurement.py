@@ -11,18 +11,22 @@ The model is written once, as a block kernel: :func:`trial_block` runs
 radius sweep take their blocks from :func:`trial_blocks`, and the ``trial``
 command prints its first row, :func:`simulate_trial`. The one-trial-at-a-time
 reference that the kernel is tested against lives with the tests.
+
+numpy is imported by the kernel functions on their first call, so importing
+this module, as the CLI does for every command, loads no numpy.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .config import TrialConfig
 from .stochastics import RngState, derive_child, normal_block, uniform_block
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _RUNAWAY_LIMIT = 1_000_000
 _BLOCK = 64
@@ -72,6 +76,8 @@ def accumulate_until_exceeds(
     reports the total before the crossing piece was laid. Pieces come in blocks
     of 64; with no crossing once ``max_pieces`` are laid it returns ``total <= target``.
     """
+    import numpy as np
+
     if piece_ref <= 0:
         raise ValueError("piece_ref must be > 0")
     if target <= piece_ref:
@@ -107,6 +113,8 @@ def _lay(
     the first total past ``target``, the total before that copy and the total
     after it. A row that does not pass returns ``steps`` and its last two totals.
     """
+    import numpy as np
+
     m = ref.size
     totals = ref[:, None] + cut_stdev * normal_block(rng, m * steps).reshape(m, steps)
     totals += uniform_block(rng, -span, 0.0, m * steps).reshape(m, steps)
@@ -132,6 +140,8 @@ def trial_block(rng: RngState, cfg: TrialConfig) -> TrialBlock:
     outside (0, 6R) or a first count past the 10^6-piece guard raises
     :class:`DegenerateConfigError`.
     """
+    import numpy as np
+
     em = cfg.error_model
     gen = rng.generator
     n = BLOCK_TRIALS

@@ -13,15 +13,19 @@ root stream and a list of items, and item i runs on child stream i of the
 root (or on the path below the root that the caller gives it), whichever
 process runs it. The helper derives the streams, and a pool worker is sent
 each as its address: a state builds its numpy generator on its first draw.
+
+numpy is imported by the functions that draw or count, on their first call,
+so importing this module loads no numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 _MAX_SEED = 2**64
 
@@ -53,6 +57,8 @@ class RngState:
     def generator(self) -> np.random.Generator:
         """The stream's numpy generator, built on its first draw."""
         if not hasattr(self, "_generator"):
+            import numpy as np
+
             sequence = np.random.SeedSequence(entropy=self.seed, spawn_key=self.path)
             self._generator = np.random.Generator(np.random.PCG64(sequence))
         return self._generator
@@ -154,7 +160,8 @@ def _run_tasks(fn: Callable, root: RngState, items: list, workers: int,
     lazily, so a caller that folds them holds few at once. A worker is sent
     each item with its stream, derived here and not yet drawn, so sent as its
     address. Items go out in about four chunks per worker: enough to even out
-    items of uneven cost, few enough to keep the round trips cheap.
+    items of uneven cost, few enough to keep the round trips cheap. numpy is
+    loaded in the parent before the pool forks, so no worker loads it again.
     """
     if paths is None:
         streams = [derive_child(root, i) for i in range(len(items))]
@@ -163,8 +170,11 @@ def _run_tasks(fn: Callable, root: RngState, items: list, workers: int,
     if workers <= 1 or len(items) <= 1:
         yield from map(fn, streams, items)
         return
-    # imported here, so that importing the package loads no process machinery
+    # imported here, so that importing the package loads no process machinery;
+    # numpy before the fork, so that the workers inherit it
     from concurrent.futures import ProcessPoolExecutor
+
+    import numpy  # noqa: F401
 
     chunksize = max(1, len(items) // (4 * workers))
     with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
@@ -174,7 +184,7 @@ def _run_tasks(fn: Callable, root: RngState, items: list, workers: int,
 def _recip_window(cfg: ReciprocalStudyConfig) -> tuple[float, int]:
     """The histogram's center r0 and its number of bins on either side."""
     r0 = cfg.numerator_mean / cfg.denominator_mean
-    return r0, int(np.ceil(5.0 * abs(r0) / cfg.bin_width))
+    return r0, math.ceil(5.0 * abs(r0) / cfg.bin_width)
 
 
 def _recip_chunk_worker(rng: RngState, item: tuple) -> tuple:
@@ -189,6 +199,8 @@ def _recip_chunk_worker(rng: RngState, item: tuple) -> tuple:
     into tiles are the draws of one call, and the kept deviations are summed
     in blocks of ``_SUM_BLOCK`` across tiles, so no result depends on the tile.
     """
+    import numpy as np
+
     cfg, stdev, n = item
     numerator_draws = derive_child(rng, 0).generator
     denominator_draws = derive_child(rng, 1).generator
@@ -268,6 +280,8 @@ def reciprocal_peak_curve(
     sends back only its occupied bins, so the merge holds the point's
     histogram and little more.
     """
+    import numpy as np
+
     chunks = [min(_STUDY_CHUNK, cfg.samples_per_point - start)
               for start in range(0, cfg.samples_per_point, _STUDY_CHUNK)]
     items = [(cfg, stdev, n) for stdev in cfg.denominator_stdevs for n in chunks]

@@ -255,6 +255,54 @@ def test_importing_the_cli_loads_no_process_machinery():
     assert result.stdout == "[]\n"
 
 
+# Runs main on its argv in a fresh interpreter, then prints the exit code and
+# the numpy modules loaded as its last line of stdout.
+_NUMPY_PROBE = """
+import sys
+from sixradii import cli
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(code, [m for m in sys.modules if m == "numpy" or m.startswith("numpy.")])
+"""
+
+
+@pytest.mark.parametrize("argv, code, named", [
+    (["cf", "--value", "111/106", "--terms", "3", "--formats", "csv,json,svg"], 0, None),
+    (["--help"], 0, None),
+    (["success", "--radius", "-1"], 2, "radius"),
+    (["success", "--campaigns", "0"], 2, "--campaigns"),
+    (["recip", "--bin-width", "0"], 2, "--bin-width"),
+    (["trial", "--no-such-flag", "1"], 2, "--no-such-flag"),
+], ids=["cf", "help", "config-error", "argument-error", "recip-error", "unknown-flag"])
+def test_cf_help_and_input_errors_load_no_numpy(argv, code, named, tmp_path):
+    # the kernels import numpy on their first call, so a command that runs
+    # none of them starts without it
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *argv, "--out", str(tmp_path)],
+                            capture_output=True, text=True, env=env)
+    assert result.stdout.splitlines()[-1] == f"{code} []"
+    if named is not None:
+        assert named in result.stderr
+    if argv[0] == "cf":
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cf.csv", "cf.json"]
+
+
+def test_importing_the_cli_loads_every_module_and_no_numpy():
+    # bench/tracer.py install() imports sixradii.cli and then reads these
+    # modules from sys.modules by name
+    probe = ("import sys, sixradii.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('sixradii.')), "
+             "'numpy' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=env, check=True)
+    modules = ["cli", "config", "contfrac", "experiments", "histogram", "measurement",
+               "reports", "stochastics", "svgplot"]
+    assert result.stdout == f"{[f'sixradii.{m}' for m in modules]} False\n"
+
+
 def test_a_stream_is_its_address_until_it_draws():
     # deriving builds no generator, and an undrawn stream pickles as its address
     probe = ("import pickle, sys; from sixradii.stochastics import derive_child, rng_new; "

@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,6 +69,24 @@ def test_seed_out_of_range_rejected():
         rng_new(-1)
     with pytest.raises(ValueError):
         derive_child(rng_new(1), -2)
+
+
+def test_pool_workers_inherit_numpy_from_the_parent():
+    # the parent loads numpy before the pool forks, so no worker loads it again
+    probe = """
+import sys
+from sixradii.stochastics import _run_tasks, rng_new
+
+def seen(rng, item):
+    return "numpy" in sys.modules
+
+if __name__ == "__main__":
+    print("numpy" in sys.modules, list(_run_tasks(seen, rng_new(0), list(range(4)), 2)))
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(stochastics.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=env, check=True)
+    assert result.stdout == "False [True, True, True, True]\n"
 
 
 def test_normal_degenerate_returns_mean_exactly():
