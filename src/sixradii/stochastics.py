@@ -13,6 +13,9 @@ root stream and a list of items, and item i runs on child stream i of the
 root (or on the path below the root that the caller gives it), whichever
 process runs it. The helper derives the streams, and a pool worker is sent
 each as its address: a state builds its numpy generator on its first draw.
+Items may share a stream: every grid point of the ratio study draws its
+chunk c from the same stream, so the points compare on common random numbers
+and a chunk's draws are made once for a whole group of points.
 
 numpy is imported by the functions that draw or count, on their first call,
 so importing this module loads no numpy.
@@ -29,13 +32,18 @@ if TYPE_CHECKING:
 
 _MAX_SEED = 2**64
 
-# Samples per chunk of the ratio study. Chunk c of grid point j is one task, on
-# stream (seed, j, c), so this fixes the stream layout and the task size; a
+# Samples per chunk of the ratio study. Chunk c runs on stream (seed, c) for
+# every grid point, so this fixes the stream layout and the task size; a
 # chunk is drawn tile by tile, so it sets no buffer's size.
 _STUDY_CHUNK = 4_000_000
-# Samples per tile: small enough that a tile's buffers stay in cache. Tiling
-# moves no draw, no count and no addition of the deviation sum.
-_TILE = 65_536
+# Bins of one task's grid points in all. A task counts a chunk for a group of
+# consecutive points, in an int32 histogram each, and the merge holds the
+# group's int64 histograms: at most 24 MB for a group, so a point of more
+# than 1,000,000 bins has a group of its own. Grouping moves no result.
+_GROUP_BINS = 2_000_000
+# Samples per tile: small enough that a tile's buffers (about 1.3 MB) stay in
+# cache. Tiling moves no draw, no count and no addition of the deviation sum.
+_TILE = 32_768
 # Kept deviations per block of a chunk's deviation sum. The chunk's kept
 # deviations, in sample order, are summed block by block (numpy's pairwise
 # sum) and the block sums added in order, so this fixes the mean's rounding.
@@ -108,7 +116,10 @@ class ReciprocalStudyConfig:
     histogrammed and the mode-bin center and in-window sample mean recorded.
     As the denominator spread grows the peak of the ratio distribution moves
     down while its central mass shifts up, which is the mechanism that biases
-    the second measurement iteration toward 4.
+    the second measurement iteration toward 4. Every grid point uses the same
+    numerators and the same standard normal deviates z, with denominators
+    ``denominator_mean + stdev * z``: each point keeps the exact ratio-of-normals
+    law, and the differences between points carry less sampling noise.
     """
 
     numerator_mean: float = 5.0
@@ -161,7 +172,10 @@ def _run_tasks(fn: Callable, root: RngState, items: list, workers: int,
     each item with its stream, derived here and not yet drawn, so sent as its
     address. Items go out in about four chunks per worker: enough to even out
     items of uneven cost, few enough to keep the round trips cheap. numpy is
-    loaded in the parent before the pool forks, so no worker loads it again.
+    loaded in the parent before the pool forks, so the workers inherit it;
+    ``numpy.random``, which numpy loads on first use, is not, and each worker
+    imports it on its first draw: loading it in the parent added 2.5 MB to
+    the peak RSS of a pooled ``success`` and made it no faster.
     """
     if paths is None:
         streams = [derive_child(root, i) for i in range(len(items))]
@@ -187,33 +201,40 @@ def _recip_window(cfg: ReciprocalStudyConfig) -> tuple[float, int]:
     return r0, math.ceil(5.0 * abs(r0) / cfg.bin_width)
 
 
-def _recip_chunk_worker(rng: RngState, item: tuple) -> tuple:
-    """Occupied bins, their counts, in-window count and deviation sum of a chunk.
+def _recip_chunk_worker(rng: RngState, item: tuple) -> list[tuple]:
+    """Occupied bins, their counts, in-window count and deviation sum of a chunk,
+    one tuple per grid point of the item's group.
 
-    The bins go back as int32 pairs (a chunk's counts fit, as a chunk has
-    fewer than 2**31 samples), so a chunk's result is never larger than the
-    point's histogram and is usually far smaller.
+    The chunk's numerators come from child 0 of its stream and its standard
+    normal denominator deviates z from child 1, each drawn tile by tile into
+    a tile buffer, once for the whole group: every point of the group scales
+    the same z by its own stdev. Consecutive draws into tiles are the draws
+    of one call, and each point's kept deviations are summed in blocks of
+    ``_SUM_BLOCK`` across tiles, so no result depends on the tile or on the
+    other points of the group.
 
-    Numerators come from child 0 of the chunk's stream and denominators from
-    child 1, each drawn tile by tile into a tile buffer; consecutive draws
-    into tiles are the draws of one call, and the kept deviations are summed
-    in blocks of ``_SUM_BLOCK`` across tiles, so no result depends on the tile.
+    A chunk has fewer than 2**31 samples, so each point counts in int32 and
+    its bins go back as int32 pairs: a chunk's result is never larger than
+    the point's histogram and is usually far smaller.
     """
     import numpy as np
 
-    cfg, stdev, n = item
+    cfg, stdevs, n = item
     numerator_draws = derive_child(rng, 0).generator
     denominator_draws = derive_child(rng, 1).generator
     r0, half_bins = _recip_window(cfg)
     w = cfg.bin_width
     tile = min(n, _TILE)
-    num_buf, den_buf, off_buf, abs_buf = (np.empty(tile) for _ in range(4))
+    # tile scratch, shared by the group's points
+    num_buf, z_buf, dev_buf, off_buf = (np.empty(tile) for _ in range(4))
     idx_buf, keep_buf = np.empty(tile, dtype=np.int64), np.empty(tile, dtype=bool)
-    counts = np.zeros(2 * half_bins + 1, dtype=np.int64)
-    in_window = 0
-    deviation_sum = 0.0
-    pending = np.empty(_SUM_BLOCK + tile)  # kept deviations not yet in a full block
-    held = 0
+    one = np.int32(1)  # an int32 one keeps add.at on its fast int32 loop
+    counts = [np.zeros(2 * half_bins + 1, dtype=np.int32) for _ in stdevs]
+    in_window = [0] * len(stdevs)
+    sums = [0.0] * len(stdevs)
+    # each point's kept deviations not yet in a full block: fewer than _SUM_BLOCK
+    pending = np.empty((len(stdevs), _SUM_BLOCK))
+    held = [0] * len(stdevs)
     # A denominator near zero, or a stdev near the float limit, gives huge,
     # infinite or NaN ratios: they stay in the sample but fall outside the
     # window, so the arithmetic on them warns of nothing.
@@ -221,38 +242,58 @@ def _recip_chunk_worker(rng: RngState, item: tuple) -> tuple:
         for start in range(0, n, tile):
             m = min(tile, n - start)
             # standard_normal * stdev + mean is bit for bit normal(mean, stdev)
-            numerators, denominators = num_buf[:m], den_buf[:m]
+            numerators, z = num_buf[:m], z_buf[:m]
             numerator_draws.standard_normal(out=numerators)
             numerators *= cfg.numerator_stdev
             numerators += cfg.numerator_mean
-            denominator_draws.standard_normal(out=denominators)
-            denominators *= stdev
-            denominators += cfg.denominator_mean
-            deviations = np.divide(numerators, denominators, out=denominators)
-            deviations -= r0
-            offsets = np.rint(np.divide(deviations, w, out=off_buf[:m]), out=off_buf[:m])
-            # NaN and +-inf offsets fail the comparison, so no isfinite mask is needed
-            keep = np.less_equal(np.abs(offsets, out=abs_buf[:m]), half_bins, out=keep_buf[:m])
-            # cast the whole tile into its buffer, then select (casting the
-            # selected floats makes two fresh arrays and is several times
-            # slower); the casts of NaN and inf offsets are never selected
-            np.copyto(idx_buf[:m], offsets, casting="unsafe")
-            idx = idx_buf[:m][keep]
-            idx += half_bins
-            # add.at, not bincount: its cost does not grow with the bin count
-            np.add.at(counts, idx, 1)
-            in_window += idx.size
-            pending[held:held + idx.size] = deviations[keep]
-            held += idx.size
-            if held >= _SUM_BLOCK:
-                full = held - held % _SUM_BLOCK
-                for block_sum in pending[:full].reshape(-1, _SUM_BLOCK).sum(axis=1).tolist():
-                    deviation_sum += block_sum
-                pending[:held - full] = pending[full:held]
-                held -= full
-    deviation_sum += float(np.sum(pending[:held]))
-    bins = np.flatnonzero(counts)
-    return bins.astype(np.int32), counts[bins].astype(np.int32), in_window, deviation_sum
+            denominator_draws.standard_normal(out=z)
+            for j, stdev in enumerate(stdevs):
+                deviations = np.multiply(z, stdev, out=dev_buf[:m])
+                deviations += cfg.denominator_mean
+                np.divide(numerators, deviations, out=deviations)
+                deviations -= r0
+                offsets = np.rint(np.divide(deviations, w, out=off_buf[:m]), out=off_buf[:m])
+                # cast the whole tile into its buffer, then select (casting the
+                # selected floats makes two fresh arrays and is several times
+                # slower); the casts of NaN and inf offsets are never selected
+                np.copyto(idx_buf[:m], offsets, casting="unsafe")
+                # NaN and +-inf offsets fail the comparison, so no isfinite mask is needed
+                keep = np.less_equal(np.abs(offsets, out=offsets), half_bins, out=keep_buf[:m])
+                idx = idx_buf[:m][keep]
+                idx += half_bins
+                # add.at, not bincount: its cost does not grow with the bin count
+                np.add.at(counts[j], idx, one)
+                in_window[j] += idx.size
+                sums[j], held[j] = _add_blocks(deviations[keep], pending[j], held[j], sums[j])
+    results = []
+    for j in range(len(stdevs)):
+        bins = np.flatnonzero(counts[j]).astype(np.int32)
+        results.append((bins, counts[j][bins], in_window[j],
+                        sums[j] + float(np.sum(pending[j, :held[j]]))))
+        counts[j] = None  # free each dense histogram once it is gathered
+    return results
+
+
+def _add_blocks(kept: np.ndarray, pending: np.ndarray, held: int, total: float) -> tuple:
+    """Fold kept deviations, in sample order, into a sum of ``_SUM_BLOCK`` blocks.
+
+    ``pending[:held]`` holds the deviations not yet in a full block. Each full
+    block is summed by numpy's pairwise sum and added to ``total`` in order.
+    Returns the new total and the number left pending, below ``_SUM_BLOCK``.
+    """
+    take = min(_SUM_BLOCK - held, kept.size)
+    pending[held:held + take] = kept[:take]
+    held += take
+    if held < _SUM_BLOCK:
+        return total, held
+    total += float(pending.sum())
+    rest = kept[take:]
+    full = rest.size - rest.size % _SUM_BLOCK
+    for block_sum in rest[:full].reshape(-1, _SUM_BLOCK).sum(axis=1).tolist():
+        total += block_sum
+    held = rest.size - full
+    pending[:held] = rest[full:]
+    return total, held
 
 
 def reciprocal_peak_curve(
@@ -268,39 +309,51 @@ def reciprocal_peak_curve(
     and mean describe the central mass. The mean is accumulated as deviations
     from r0, which keeps the degenerate all-constant grid point exact.
 
-    Grid point j is cut into chunks of ``_STUDY_CHUNK`` samples (the last may
-    be partial), and chunk c runs on stream ``(seed, j, c)`` as one item of a
-    single :func:`_run_tasks` batch, on up to ``workers`` processes. So
-    extending the grid does not disturb earlier points, and every result is
-    the same at any worker count. Each point's chunk results are merged in
-    chunk order as they arrive: bin and in-window counts are summed, and the
-    mean's deviation sum adds the chunk sums in chunk order. A chunk sums its
-    kept deviations, in sample order, in blocks of ``_SUM_BLOCK`` (numpy's
-    pairwise sum within a block) and adds the block sums in order. A chunk
-    sends back only its occupied bins, so the merge holds the point's
-    histogram and little more.
+    The study is cut into chunks of ``_STUDY_CHUNK`` samples (the last may be
+    partial), and chunk c runs on stream ``(seed, c)`` for every grid point:
+    the points share their draws (common random numbers), and point j's
+    denominators are ``denominator_mean + stdev_j * z``. Consecutive points
+    form groups of at most ``_GROUP_BINS`` bins in all, and each (group,
+    chunk) is one item of a single :func:`_run_tasks` batch, on up to
+    ``workers`` processes, so a group draws each chunk once. A point thus
+    depends only on the seed, the config and its own stdev: not on its place
+    in the grid, on the grouping or on the worker count. Each group's chunk
+    results are merged in chunk order as they arrive: bin and in-window
+    counts are summed, and the mean's deviation sum adds the chunk sums in
+    chunk order. A chunk sums a point's kept deviations, in sample order, in
+    blocks of ``_SUM_BLOCK`` (numpy's pairwise sum within a block) and adds
+    the block sums in order. A chunk sends back only its occupied bins, so
+    the merge holds the group's histograms and little more.
     """
     import numpy as np
 
+    r0, half_bins = _recip_window(cfg)
+    stdevs = cfg.denominator_stdevs
+    size = max(1, _GROUP_BINS // (2 * half_bins + 1))
+    groups = [stdevs[i:i + size] for i in range(0, len(stdevs), size)]
     chunks = [min(_STUDY_CHUNK, cfg.samples_per_point - start)
               for start in range(0, cfg.samples_per_point, _STUDY_CHUNK)]
-    items = [(cfg, stdev, n) for stdev in cfg.denominator_stdevs for n in chunks]
-    paths = [(j, c) for j in range(len(cfg.denominator_stdevs)) for c in range(len(chunks))]
-    r0, half_bins = _recip_window(cfg)
+    items = [(cfg, group, n) for group in groups for n in chunks]
+    paths = [(c,) for _ in groups for c in range(len(chunks))]
     points = []
-    c = 0  # the chunk's index in its point: a counter, as enumerate's reused
-    # pair would keep the last chunk's result alive while the next is drawn
-    for bins, hits, n, chunk_sum in _run_tasks(_recip_chunk_worker, rng, items, workers, paths):
+    c = 0  # the chunk's index in its group: a counter, as enumerate's reused
+    # pair would keep the last chunk's result alive while the next is drawn.
+    # A group's histograms go when the next group's replace them: deleting
+    # them first left the peak RSS of a 4,000,001-bin grid 8-11 MB higher
+    # (the allocator then reused freed memory rather than fresh zero pages).
+    for chunk_points in _run_tasks(_recip_chunk_worker, rng, items, workers, paths):
         if c == 0:
-            counts = np.zeros(2 * half_bins + 1, dtype=np.int64)
-            in_window, deviation_sum = 0, 0.0
-        counts[bins] += hits
-        in_window += n
-        deviation_sum += chunk_sum
-        del bins, hits
+            counts = [np.zeros(2 * half_bins + 1, dtype=np.int64) for _ in chunk_points]
+            in_window, deviation_sums = [0] * len(chunk_points), [0.0] * len(chunk_points)
+        for j, (bins, hits, n, chunk_sum) in enumerate(chunk_points):
+            counts[j][bins] += hits
+            in_window[j] += n
+            deviation_sums[j] += chunk_sum
+        del chunk_points, bins, hits
         c = (c + 1) % len(chunks)
         if c == 0:
-            peak = r0 + (int(np.argmax(counts)) - half_bins) * cfg.bin_width if in_window else None
-            mean = r0 + deviation_sum / in_window if in_window else None
-            points.append(ReciprocalPoint(float(cfg.denominator_stdevs[len(points)]), peak, mean))
+            for j, n in enumerate(in_window):
+                peak = r0 + (int(np.argmax(counts[j])) - half_bins) * cfg.bin_width if n else None
+                mean = r0 + deviation_sums[j] / n if n else None
+                points.append(ReciprocalPoint(float(stdevs[len(points)]), peak, mean))
     return points

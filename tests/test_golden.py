@@ -71,9 +71,9 @@ _GOLDEN = {
         "stdout": "b0a7f575d56cc0d330568199c8624987235e6b6e261bf2a7c3defc13df480dff",
     },
     "recip": {
-        "recip.csv": "abf01e1c3a528d821baf24753cb9d49add03d3ea7858ee5ff4d56052ca772f1c",
-        "recip.json": "de34b4cfe793bdd5edd388df85785859d2f77a7eed658103176db1d07b58148f",
-        "stdout": "e8673a5116f5e41d5d40591ff63070d91a48fb7b1bf839f46a7cd73604ac599e",
+        "recip.csv": "ca49ca45c9cc42cd8b35d61adac1329d2a849a38d3ac2b83e64aba9e66b56103",
+        "recip.json": "0dec3d4996d85dad2103252d3d71c21e2feeea1db963584a7c967582a929e2fc",
+        "stdout": "839631cede420e92c89cdefd6c7e90d3923c2d56c2924d5cc525a0374f38f30a",
     },
     "success": {
         "success.csv": "86aa95b712967fa176416ac5e62ca3bbb384de5b736a0d2ad6c8b29c9bba82fc",

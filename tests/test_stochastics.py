@@ -191,12 +191,12 @@ def test_reciprocal_deterministic():
     assert reciprocal_peak_curve(cfg, rng_new(3)) == reciprocal_peak_curve(cfg, rng_new(3))
 
 
-def _reference_point(cfg, rng, j):
-    """Grid point j of the ratio study, written plainly: chunk c draws
-    ``normal(mean, stdev, n)`` numerators from stream ``(seed, j, c, 0)`` and
-    denominators from ``(seed, j, c, 1)``, masks explicitly for finiteness and
-    sums each chunk's kept deviations slice by slice, then the chunk sums."""
-    stdev = cfg.denominator_stdevs[j]
+def _reference_point(cfg, rng, stdev):
+    """The ratio study's point at one stdev, written plainly: chunk c draws
+    ``normal(mean, stdev, n)`` numerators from stream ``(seed, c, 0)`` and
+    standard normals z from ``(seed, c, 1)``, takes ``mean + stdev * z`` as
+    denominators, masks explicitly for finiteness and sums each chunk's kept
+    deviations slice by slice, then the chunk sums."""
     r0 = cfg.numerator_mean / cfg.denominator_mean
     half_bins = int(np.ceil(5.0 * abs(r0) / cfg.bin_width))
     counts = np.zeros(2 * half_bins + 1, dtype=np.int64)
@@ -205,10 +205,11 @@ def _reference_point(cfg, rng, j):
     chunk = stochastics._STUDY_CHUNK
     for c, start in enumerate(range(0, cfg.samples_per_point, chunk)):
         n = min(chunk, cfg.samples_per_point - start)
-        stream = derive_child(derive_child(rng, j), c)
+        stream = derive_child(rng, c)
         numerators = derive_child(stream, 0).generator.normal(
             cfg.numerator_mean, cfg.numerator_stdev, n)
-        denominators = derive_child(stream, 1).generator.normal(cfg.denominator_mean, stdev, n)
+        z = derive_child(stream, 1).generator.standard_normal(n)
+        denominators = cfg.denominator_mean + stdev * z
         with np.errstate(divide="ignore", invalid="ignore"):
             deviations = numerators / denominators - r0
         offsets = np.rint(deviations / cfg.bin_width)
@@ -233,7 +234,7 @@ def test_reciprocal_point_matches_reference(stdev, monkeypatch):
     monkeypatch.setattr(stochastics, "_STUDY_CHUNK", 4096)
     cfg = ReciprocalStudyConfig(denominator_stdevs=(0.1, stdev), samples_per_point=10_007)
     point = reciprocal_peak_curve(cfg, rng_new(11))[1]
-    assert (point.peak_location, point.central_mean) == _reference_point(cfg, rng_new(11), 1)
+    assert (point.peak_location, point.central_mean) == _reference_point(cfg, rng_new(11), stdev)
 
 
 @pytest.mark.parametrize("tile", [1, 4096, 10_000])
@@ -245,7 +246,7 @@ def test_reciprocal_tiles_change_no_bit(stdev, tile, monkeypatch):
     monkeypatch.setattr(stochastics, "_TILE", tile)
     cfg = ReciprocalStudyConfig(denominator_stdevs=(stdev,), samples_per_point=25_007)
     (point,) = reciprocal_peak_curve(cfg, rng_new(17))
-    assert (point.peak_location, point.central_mean) == _reference_point(cfg, rng_new(17), 0)
+    assert (point.peak_location, point.central_mean) == _reference_point(cfg, rng_new(17), stdev)
 
 
 def _traced_peak(cfg):
@@ -280,6 +281,16 @@ def test_reciprocal_fine_bins_merge_two_histograms_at_a_time(monkeypatch):
     assert _traced_peak(cfg) < 3 * histogram_bytes
 
 
+def test_reciprocal_fine_bins_hold_three_histograms_over_three_points(monkeypatch):
+    # three points of 1,000,001 bins, each over 6 chunks: still no more than
+    # the bound of one point above
+    monkeypatch.setattr(stochastics, "_STUDY_CHUNK", 100_000)
+    cfg = ReciprocalStudyConfig(denominator_stdevs=(0.1, 0.2, 0.3), samples_per_point=600_000,
+                                bin_width=5e-5)
+    histogram_bytes = 8 * (2 * 500_000 + 1)
+    assert _traced_peak(cfg) < 3 * histogram_bytes
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_extending_the_grid_leaves_earlier_points_alone(workers, monkeypatch, deadline):
     monkeypatch.setattr(stochastics, "_STUDY_CHUNK", 4096)
@@ -288,6 +299,21 @@ def test_extending_the_grid_leaves_earlier_points_alone(workers, monkeypatch, de
     with deadline(60):
         assert (reciprocal_peak_curve(extended, rng_new(23), workers=workers)[:2]
                 == reciprocal_peak_curve(short, rng_new(23), workers=workers))
+
+
+@pytest.mark.parametrize("group_bins", [2501, 5002, stochastics._GROUP_BINS])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_point_does_not_depend_on_the_rest_of_the_grid(workers, group_bins, monkeypatch,
+                                                         deadline):
+    # 2,501 bins a point, so groups of one, two and all four points
+    monkeypatch.setattr(stochastics, "_STUDY_CHUNK", 4096)
+    monkeypatch.setattr(stochastics, "_GROUP_BINS", group_bins)
+    cfg = ReciprocalStudyConfig(denominator_stdevs=(0.5, 0.0, 0.2, 0.1), samples_per_point=10_007)
+    with deadline(60):
+        grid = reciprocal_peak_curve(cfg, rng_new(29), workers=workers)
+    for point in grid:
+        alone = replace(cfg, denominator_stdevs=(point.denominator_stdev,))
+        assert [point] == reciprocal_peak_curve(alone, rng_new(29))
 
 
 def _ratio_moments(cfg, stdev, lo, hi):
@@ -319,14 +345,14 @@ def _ratio_moments(cfg, stdev, lo, hi):
 
 def test_reciprocal_chunk_matches_the_ratio_of_normals():
     # Marsaglia's ratio of normals, at the study's defaults and denominator
-    # stdev 0.2: one 4e6-sample chunk on stream (5, 0, 0). Thresholds fixed
+    # stdev 0.2: one 4e6-sample chunk on stream (5, 0). Thresholds fixed
     # before the first run: chi-square over the 51 central bins below its
     # 1e-3 upper quantile, in-window mass and mean within 4 standard errors.
     stats = pytest.importorskip("scipy.stats")
     stdev, n = 0.2, 4_000_000
     cfg = ReciprocalStudyConfig(denominator_stdevs=(stdev,), samples_per_point=n)
-    bins, hits, in_window, deviation_sum = stochastics._recip_chunk_worker(
-        derive_child(derive_child(rng_new(5), 0), 0), (cfg, stdev, n))
+    ((bins, hits, in_window, deviation_sum),) = stochastics._recip_chunk_worker(
+        derive_child(rng_new(5), 0), (cfg, (stdev,), n))
     r0, w, half_bins = 5.0, cfg.bin_width, 1250
     counts = np.zeros(2 * half_bins + 1, dtype=np.int64)
     counts[bins] = hits
