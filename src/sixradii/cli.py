@@ -192,7 +192,7 @@ def _parse_list(text: str, flag: str, kind: type = float) -> tuple:
     except ValueError:
         raise ConfigError(f"invalid value for {flag}: {text!r}") from None
     if not values:
-        raise ConfigError(f"{flag} must list at least one value")
+        raise ConfigError(f"invalid value for {flag}: must list at least one value")
     return values
 
 
@@ -252,7 +252,7 @@ def cmd_campaign(args: argparse.Namespace, cfg: RunConfig) -> Report:
             "selected": result.selected,
             "measurements": result.measurements,
             "discarded": result.discarded,
-            "stopped": result.stopped,
+            "stopped": result.selected is not None,
             "histogram": result.histogram.as_dict(),
             "stream_key": list(result.stream_key),
         },

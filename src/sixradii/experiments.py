@@ -23,7 +23,7 @@ from enum import Enum
 from typing import NamedTuple, Sequence
 
 from .config import ErrorModel, StoppingCriteria, TrialConfig
-from .histogram import run_campaign
+from .histogram import CampaignResult, run_campaign
 from .measurement import WINDOW_HI, trial_blocks
 from .stochastics import RngState, _run_tasks, rng_new
 
@@ -72,13 +72,6 @@ class SweepSpec:
 
 
 @dataclass(frozen=True)
-class CampaignOutcome:
-    selected: int | None
-    measurements: int
-    discarded: int
-
-
-@dataclass(frozen=True)
 class SuccessStats:
     """Success fraction with its binomial 95% half-width, plus campaign stats;
     ``mean_measurements`` is over the campaigns that selected, None if none did."""
@@ -101,13 +94,8 @@ class GridCell(NamedTuple):
     success_fraction: float
 
 
-def _campaign_worker(rng: RngState, item: tuple) -> CampaignOutcome:
-    cfg, criteria, max_measurements = item
-    result = run_campaign(rng, cfg, criteria, max_measurements)
-    selected = result.selected
-    if criteria is None and any(result.histogram.counts):  # an empty window selects nothing
-        selected = result.histogram.peak_bin()
-    return CampaignOutcome(selected, result.measurements, result.discarded)
+def _campaign_worker(rng: RngState, item: tuple) -> CampaignResult:
+    return run_campaign(rng, *item)
 
 
 def run_campaign_batch(
@@ -117,13 +105,13 @@ def run_campaign_batch(
     seed: int | RngState,
     max_measurements: int = 10_000,
     workers: int = 1,
-) -> list[CampaignOutcome]:
-    """n independent stopping-rule campaigns; campaign i uses child stream i.
+) -> list[CampaignResult]:
+    """n independent :func:`~sixradii.histogram.run_campaign` runs; run i uses child stream i.
 
     ``seed`` is a seed, whose root stream roots the batch, or the root
     stream itself. With ``criteria=None`` every campaign records exactly
-    ``max_measurements`` and selects its histogram's peak bin, or nothing
-    when no measurement fell in the window.
+    ``max_measurements``, and ``run_campaign`` selects its histogram's peak
+    bin, or nothing when no measurement fell in the window.
     """
     if n_campaigns < 1:
         raise ValueError("n_campaigns must be >= 1")
@@ -132,7 +120,7 @@ def run_campaign_batch(
     return list(_run_tasks(_campaign_worker, root, items, workers))
 
 
-def summarize_success(outcomes: Sequence[CampaignOutcome]) -> SuccessStats:
+def summarize_success(outcomes: Sequence[CampaignResult]) -> SuccessStats:
     """Success = selected value 5; no-decision campaigns count as failures."""
     n = len(outcomes)
     successes = sum(1 for o in outcomes if o.selected == 5)
@@ -170,7 +158,7 @@ def ablation_distribution(
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     ablated = replace(cfg, error_model=apply_ablation(cfg.error_model, mode))
-    counts = sum(np.bincount(block.second[block.first == 21], minlength=WINDOW_HI + 2)
+    counts = sum(np.bincount(block.second[block.kept], minlength=WINDOW_HI + 2)
                  for block in trial_blocks(rng_new(seed), ablated, n_trials))
     kept = int(counts.sum())
     return {q: int(c) / kept for q, c in enumerate(counts) if c}
@@ -181,7 +169,7 @@ def _radius_sweep_worker(rng: RngState, item: tuple) -> RadiusSweepPoint:
 
     radius, trials, cfg = item
     blocks = trial_blocks(rng, replace(cfg, radius=radius), trials)
-    hits = sum(int(np.count_nonzero(block.first == 21)) for block in blocks)
+    hits = sum(int(np.count_nonzero(block.kept)) for block in blocks)
     return RadiusSweepPoint(radius, hits / trials)
 
 

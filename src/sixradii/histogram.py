@@ -3,7 +3,8 @@
 The measurer tallies second-iteration outcomes and keeps measuring until the
 tally shows one clean peak: the peak clearly above its neighbors, a wide
 enough base of well-filled bins, and counts falling away monotonically on
-both flanks. The peak bin is then selected as the answer.
+both flanks. The peak bin is then selected as the answer, as it is when a
+fixed-budget campaign has spent its budget.
 
 The rule is written once, over a stack of histograms. :func:`stopping_met`
 runs it on one histogram; a campaign, which takes its trials a block at a
@@ -15,8 +16,8 @@ importing this module loads no numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from dataclasses import asdict, dataclass, field
+from typing import TYPE_CHECKING, ClassVar
 
 from .config import StoppingCriteria, TrialConfig
 from .measurement import BLOCK_TRIALS, WINDOW_HI, DegenerateConfigError, trial_blocks
@@ -28,18 +29,19 @@ if TYPE_CHECKING:
 _CAMPAIGN_TRIAL_LIMIT = 1_000_000
 
 
+@dataclass(slots=True)
 class Histogram:
-    """Counts of integer outcomes over the window 1..WINDOW_HI, with under/overflow."""
+    """Counts of integer outcomes over the window 1..WINDOW_HI, with under/overflow.
 
-    __slots__ = ("counts", "underflow", "overflow")
+    ``Histogram()`` is an empty window. :func:`run_campaign` selects its
+    :meth:`peak_bin`, when the stopping rule passes or the fixed budget is spent.
+    """
 
-    lo = 1
-    hi = WINDOW_HI
-
-    def __init__(self):
-        self.counts = [0] * (self.hi - self.lo + 1)
-        self.underflow = 0
-        self.overflow = 0
+    lo: ClassVar[int] = 1
+    hi: ClassVar[int] = WINDOW_HI
+    counts: list[int] = field(default_factory=lambda: [0] * WINDOW_HI)  # bins lo..hi
+    underflow: int = 0
+    overflow: int = 0
 
     @property
     def total_recorded(self) -> int:
@@ -70,21 +72,7 @@ class Histogram:
         return self.lo + self.counts.index(max(self.counts))
 
     def as_dict(self) -> dict:
-        return {
-            "lo": self.lo,
-            "hi": self.hi,
-            "counts": list(self.counts),
-            "underflow": self.underflow,
-            "overflow": self.overflow,
-        }
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Histogram):
-            return NotImplemented
-        return self.as_dict() == other.as_dict()
-
-    def __repr__(self) -> str:
-        return f"Histogram({self.as_dict()})"
+        return {"lo": self.lo, "hi": self.hi, **asdict(self)}
 
 
 def _passes(h: np.ndarray, criteria: StoppingCriteria) -> np.ndarray:
@@ -145,11 +133,12 @@ def stopping_prefix(hist: Histogram, values: np.ndarray, criteria: StoppingCrite
 
 @dataclass
 class CampaignResult:
-    """Outcome of one measure-until-stopping campaign.
+    """Outcome of one campaign; ``selected`` is the histogram's peak bin or None.
 
-    ``selected`` is None when the measurement budget ran out before the
-    stopping rule was satisfied (a no-decision outcome, not an error), and
-    always when the campaign ran without a rule.
+    With a stopping rule, None means the measurement budget ran out before
+    the rule was satisfied (a no-decision outcome, not an error). A
+    fixed-budget campaign (no rule) selects its peak bin once the budget is
+    spent, and None only when no measurement fell in the window.
     """
 
     selected: int | None
@@ -158,10 +147,6 @@ class CampaignResult:
     histogram: Histogram
     stream_key: tuple[int, ...]
 
-    @property
-    def stopped(self) -> bool:
-        return self.selected is not None
-
 
 def run_campaign(
     rng: RngState,
@@ -169,7 +154,7 @@ def run_campaign(
     criteria: StoppingCriteria | None,
     max_measurements: int = 10_000,
 ) -> CampaignResult:
-    """Measure repeatedly until the stopping rule selects a peak.
+    """Measure repeatedly until the stopping rule, or the budget, selects a peak.
 
     Trials whose first quotient is not 21 are discarded: they are counted but
     neither recorded in the histogram nor charged against the measurement
@@ -178,41 +163,35 @@ def run_campaign(
     campaign is a pure function of the stream key and the configuration, and
     a campaign that stops early is a prefix of a longer one.
 
-    ``criteria=None`` never stops: the campaign records exactly
-    ``max_measurements`` and ``selected`` stays None (a fixed-budget campaign
-    reads its answer from ``histogram.peak_bin()``).
+    ``criteria=None`` runs a fixed-budget campaign: it records exactly
+    ``max_measurements`` and then selects the histogram's peak bin, or None
+    when the window is empty.
     """
     import numpy as np
 
     if max_measurements < 1:
         raise ValueError("max_measurements must be >= 1")
     hist = Histogram()
-    recorded = 0
-    trials = 0
-    selected = None
+    recorded = trials = 0
+    stop = None
     blocks = trial_blocks(rng, cfg)
-    while recorded < max_measurements and selected is None:
+    while recorded < max_measurements and stop is None:
         if trials >= _CAMPAIGN_TRIAL_LIMIT:
             raise DegenerateConfigError(
                 "campaign exceeded the trial limit without recording enough "
                 "measurements; first iteration almost never yields 21"
             )
         block = next(blocks)
-        kept = np.flatnonzero(block.first == 21)[: max_measurements - recorded]
+        kept = np.flatnonzero(block.kept)[: max_measurements - recorded]
         values = block.second[kept]
         stop = stopping_prefix(hist, values, criteria) if criteria is not None else None
         if stop is not None:
             kept, values = kept[: stop + 1], values[: stop + 1]
         hist.record_all(values)
-        if stop is not None:
-            selected = hist.peak_bin()
         recorded += len(values)
         # a campaign that ends in this block ends at its last recorded trial
         trials += int(kept[-1]) + 1 if recorded == max_measurements or stop is not None else BLOCK_TRIALS
-    return CampaignResult(
-        selected=selected,
-        measurements=recorded,
-        discarded=trials - recorded,
-        histogram=hist,
-        stream_key=rng.key,
-    )
+    # the rule passed or the fixed budget is spent; an empty window selects nothing
+    decided = (stop is not None or criteria is None) and any(hist.counts)
+    return CampaignResult(hist.peak_bin() if decided else None, recorded, trials - recorded,
+                          hist, rng.key)

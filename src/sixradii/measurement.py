@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .config import TrialConfig
-from .stochastics import RngState, derive_child, normal_block, uniform_block
+from .stochastics import RngState, derive_child, normal_block
 
 if TYPE_CHECKING:
     import numpy as np
@@ -55,6 +55,11 @@ class TrialBlock(NamedTuple):
     second: np.ndarray
     piece: np.ndarray
     remainder: np.ndarray
+
+    @property
+    def kept(self) -> np.ndarray:
+        """Rows whose first count is the true 21; every other trial is discarded."""
+        return self.first == 21
 
 
 # The scalar accumulation serves no command; it stays while bench/tracer.py patches it by name.
@@ -89,7 +94,7 @@ def accumulate_until_exceeds(
     count = 1
     while True:
         gauss = normal_block(rng, _BLOCK)
-        juxtaposition = uniform_block(rng, -span, 0.0, _BLOCK)
+        juxtaposition = rng.generator.uniform(-span, 0.0, _BLOCK)
         totals = running + np.cumsum(piece_ref + cut_stdev * gauss + juxtaposition)
         over = np.nonzero(totals > target)[0]
         if over.size:
@@ -117,7 +122,7 @@ def _lay(
 
     m = ref.size
     totals = ref[:, None] + cut_stdev * normal_block(rng, m * steps).reshape(m, steps)
-    totals += uniform_block(rng, -span, 0.0, m * steps).reshape(m, steps)
+    totals += rng.generator.uniform(-span, 0.0, m * steps).reshape(m, steps)
     np.cumsum(totals, axis=1, out=totals)
     totals += running[:, None]
     over = totals > target[:, None]
@@ -200,6 +205,5 @@ def trial_blocks(rng: RngState, cfg: TrialConfig, n_trials: int | None = None):
 def simulate_trial(rng: RngState, cfg: TrialConfig) -> TrialResult:
     """Row 0 of :func:`trial_blocks` of ``rng``: the first trial of a campaign on ``rng``."""
     block = next(trial_blocks(rng, cfg, 1))
-    first = int(block.first[0])
-    return TrialResult(first, int(block.second[0]), float(block.piece[0]),
-                       float(block.remainder[0]), first != 21)
+    return TrialResult(int(block.first[0]), int(block.second[0]), float(block.piece[0]),
+                       float(block.remainder[0]), not block.kept[0])

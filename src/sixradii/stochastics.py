@@ -101,13 +101,6 @@ def normal_block(rng: RngState, n: int) -> np.ndarray:
     return rng.generator.standard_normal(n)
 
 
-def uniform_block(rng: RngState, lo: float, hi: float, n: int) -> np.ndarray:
-    """n draws from U[lo, hi] as an array."""
-    if lo > hi:
-        raise ValueError("lo must be <= hi")
-    return rng.generator.uniform(lo, hi, n)
-
-
 @dataclass(frozen=True)
 class ReciprocalStudyConfig:
     """Grid study of the ratio of two normal variables.

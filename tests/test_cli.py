@@ -219,6 +219,9 @@ def test_campaign_whose_first_iteration_never_passes_the_mark_exits_two(
                  id="recip-too-many-bins"),
     pytest.param(["recip", "--bin-width", "1e-320"], "--bin-width", id="recip-bins-overflow"),
     (["recip", "--threads", "-3"], "--threads"),
+    pytest.param(["sweep-radius", "--radii", ","], "--radii", id="sweep-radius-empty"),
+    pytest.param(["grid", "--budgets", ",,"], "--budgets", id="grid-budgets-empty"),
+    pytest.param(["recip", "--stdevs", ","], "--stdevs", id="recip-stdevs-empty"),
     (["success", "--threads", "0"], "--threads"),
 ], ids=lambda value: value if isinstance(value, str) else value[0])
 def test_argument_errors_exit_two_naming_the_flag(argv, flag, tmp_path, capsys):

@@ -145,13 +145,12 @@ def test_campaign_reproducible():
 def test_campaign_budget_and_selection_invariants():
     result = run_campaign(rng_new(3), TrialConfig(), StoppingCriteria(), 400)
     assert result.measurements <= 400
-    assert result.stopped == (result.selected is not None)
-    if result.stopped:
+    if result.selected is not None:
         assert result.selected == result.histogram.peak_bin()
     fixed = run_campaign(rng_new(3), TrialConfig(), None, 400)
     assert fixed.measurements == 400
     assert fixed.histogram.total_recorded == 400
-    assert fixed.selected is None
+    assert fixed.selected == fixed.histogram.peak_bin()
 
 
 def test_zero_error_campaign_never_stops():
@@ -271,7 +270,7 @@ def test_record_all_matches_record():
 def test_stopped_campaign_is_a_prefix_of_a_fixed_budget_one():
     cfg = TrialConfig()
     stopped = run_campaign(rng_new(12), cfg, StoppingCriteria(), 2000)
-    assert stopped.stopped
+    assert stopped.selected is not None
     fixed = run_campaign(rng_new(12), cfg, None, stopped.measurements)
     assert (fixed.histogram, fixed.discarded) == (stopped.histogram, stopped.discarded)
 

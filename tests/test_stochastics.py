@@ -18,7 +18,6 @@ from sixradii.stochastics import (
     normal_block,
     reciprocal_peak_curve,
     rng_new,
-    uniform_block,
 )
 
 from reference import sample_normal, sample_uniform
@@ -126,19 +125,17 @@ def test_uniform_degenerate_and_validation():
     assert sample_uniform(rng_new(0), 0.5, 0.5) == 0.5
     with pytest.raises(ValueError):
         sample_uniform(rng_new(0), 1.0, 0.0)
-    with pytest.raises(ValueError):
-        uniform_block(rng_new(0), 1.0, 0.0, 4)
 
 
 def test_uniform_range_and_mean():
-    draws = uniform_block(rng_new(321), -0.18, 0.0, 1_000_000)
+    draws = rng_new(321).generator.uniform(-0.18, 0.0, 1_000_000)
     assert float(draws.min()) >= -0.18
     assert float(draws.max()) <= 0.0
     assert abs(float(draws.mean()) + 0.09) < 0.001
 
 
 def test_uniform_variance():
-    draws = uniform_block(rng_new(654), 0.0, 0.18, 1_000_000)
+    draws = rng_new(654).generator.uniform(0.0, 0.18, 1_000_000)
     expected = 0.18**2 / 12.0
     assert abs(float(draws.var(ddof=1)) - expected) <= 0.05 * expected
 
