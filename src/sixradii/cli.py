@@ -10,7 +10,7 @@ import sys
 from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .config import (
     SCHEMA,
@@ -50,24 +50,88 @@ def _flag_for(key: str) -> str:
     return "--out" if key == "out_dir" else "--" + key.replace("_", "-")
 
 
-def _common_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="FILE", help="flat key=value config file")
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=os.cpu_count() or 1,
-        help="worker processes for campaign batches and recip grid points "
-        "(output is independent of this)",
-    )
-    for field in SCHEMA:
-        common.add_argument(
-            _flag_for(field.name),
-            dest=f"cfg_{field.name}",
-            metavar="VALUE",
-            help=field.help,
-        )
-    return common
+class Arg(NamedTuple):
+    """One command argument, declared once.
+
+    ``read`` turns the argument's text into its value, raising ValueError
+    with the reason for a text it rejects; ``default`` is None when the
+    argument is required. ``name`` keys the value in the report's
+    ``parameters`` and in the object the command builds.
+    """
+
+    flag: str
+    read: Callable
+    default: object
+    name: str
+    help: str | None = None
+    choices: Sequence[str] | None = None
+
+
+class Command(NamedTuple):
+    help: str
+    run: Callable  # (arguments by name, config, threads) -> Report
+    args: tuple[Arg, ...]
+
+
+def _number(kind: type, least: float | None = None) -> Callable:
+    """Read an int or a float, of at least ``least``; a NaN is below every least value."""
+    def read(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            what = "an integer" if kind is int else "a number"
+            raise ValueError(f"not {what}: {text!r}") from None
+        if least is not None and not value >= least:
+            raise ValueError(f"must be >= {least}")
+        return value
+    return read
+
+
+def _list(read: Callable) -> Callable:
+    """Read comma-separated values, at least one; empty items are skipped."""
+    def read_list(text: str) -> tuple:
+        values = tuple(read(part) for part in text.split(",") if part.strip())
+        if not values:
+            raise ValueError("must list at least one value")
+        return values
+    return read_list
+
+
+_INT, _FLOAT, _COUNT = _number(int), _number(float), _number(int, 1)
+
+
+def _radius(text: str) -> float:
+    radius = _FLOAT(text)
+    if not 0 < radius < math.inf:
+        raise ValueError("radius must be finite and > 0")
+    return radius
+
+
+def _field(cls: type, flag: str, read: Callable, name: str) -> Arg:
+    """The argument for field ``name`` of ``cls``, with that field's default."""
+    return Arg(flag, read, getattr(cls, name), name)
+
+
+def _read(arg: Arg, text) -> object:
+    """The argument's value: its default if not given, else its text as read."""
+    if text is None:
+        return arg.default
+    try:
+        return arg.read(text)
+    except ValueError as exc:
+        raise ConfigError(f"invalid value for {arg.flag}: {exc}") from None
+
+
+_THREADS = Arg("--threads", _COUNT, os.cpu_count() or 1, "threads",
+               help="worker processes for campaign batches and recip grid points "
+               "(output is independent of this)")
+
+
+def _add_argument(parser: argparse.ArgumentParser, arg: Arg) -> None:
+    # a bool argument is a switch: given or not, it takes no text
+    kind = ({"action": "store_true"} if arg.read is bool
+            else {"required": arg.default is None, "choices": arg.choices})
+    parser.add_argument(arg.flag, default=None, help=arg.help, **kind)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,62 +139,17 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sixradii",
         description="Simulate the wire measurement of a circle against six radii.",
     )
-    common = _common_parser()
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", metavar="FILE", help="flat key=value config file")
+    _add_argument(common, _THREADS)
+    for field in SCHEMA:
+        common.add_argument(_flag_for(field.name), dest=f"cfg_{field.name}", metavar="VALUE",
+                            help=field.help)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("trial", parents=[common], help="run one measurement trial")
-    p.add_argument("--zero-errors", action="store_true",
-                   help="disable both error classes for this trial")
-
-    p = sub.add_parser("campaign", parents=[common],
-                       help="measure until the stopping rule selects a value")
-    p.add_argument("--max-measurements", type=int, default=10_000)
-
-    p = sub.add_parser("success", parents=[common],
-                       help="success statistics over repeated campaigns")
-    p.add_argument("--campaigns", type=int, default=500)
-    p.add_argument("--max-measurements", type=int, default=10_000)
-
-    p = sub.add_parser("budget", parents=[common],
-                       help="success fraction at a fixed measurement budget")
-    p.add_argument("--budget", type=int, required=True)
-    p.add_argument("--campaigns", type=int, default=1000)
-
-    p = sub.add_parser("ablate", parents=[common],
-                       help="raw outcome distribution under an error ablation")
-    p.add_argument("--mode", default="all",
-                   choices=[m.value for m in AblationMode])
-    p.add_argument("--trials", type=int, default=10_000)
-
-    p = sub.add_parser("sweep-radius", parents=[common],
-                       help="first-iteration consistency across radii")
-    p.add_argument("--radii", default="100,150,200,250,300,350,400,450,500,550,600")
-    p.add_argument("--trials-per-radius", type=int, default=2000)
-
-    p = sub.add_parser("grid", parents=[common],
-                       help="success fraction over a radius x budget grid")
-    p.add_argument("--radii", default="200,300,450,600,900")
-    p.add_argument("--budgets", default="25,50,100,200,325,500")
-    p.add_argument("--campaigns-per-cell", type=int, default=100)
-    p.add_argument("--cost-cap", type=int, default=100_000)
-
-    p = sub.add_parser("cf", parents=[common],
-                       help="continued-fraction expansion and convergent")
-    p.add_argument("--value", required=True,
-                   help="pi, pi/3 (doubles), or exact text like 111/106 or 2.75; the reported "
-                        "pi is 3 x the convergent, so it assumes the value approximates pi/3")
-    p.add_argument("--terms", type=int, default=3)
-    p.add_argument("--tolerance", type=float, default=0.0)
-
-    p = sub.add_parser("recip", parents=[common],
-                       help="peak/mean of a ratio of normals across denominator stdevs")
-    p.add_argument("--num-mean", type=float, default=5.0)
-    p.add_argument("--num-stdev", type=float, default=0.2)
-    p.add_argument("--den-mean", type=float, default=1.0)
-    p.add_argument("--stdevs", default="0,0.05,0.1,0.15,0.2")
-    p.add_argument("--samples", type=int, default=1_000_000)
-    p.add_argument("--bin-width", type=float, default=0.02)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=command.help)
+        for arg in command.args:
+            _add_argument(p, arg)
     return parser
 
 
@@ -146,54 +165,18 @@ def _flag_values(args: argparse.Namespace) -> dict:
     return values
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    file_values = load_config_file(args.config) if args.config else {}
-    return resolve(file_values, _flag_values(args), os.environ.get(ENV_OUT_DIR))
+def _spec(cls, command: str, values: Mapping, **extra):
+    """``cls(**values, **extra)``; a value it rejects is a ConfigError naming its flag.
 
-
-# Numeric arguments checked before any command runs: (argument, name in the
-# message, least value). A NaN is below every least value.
-_LEAST = (
-    ("max_measurements", "max_measurements", 1),
-    ("campaigns", "n_campaigns", 1),
-    ("budget", "budget", 1),
-    ("trials", "n_trials", 1),
-    ("trials_per_radius", "trials_per_radius", 1),
-    ("terms", "max_terms", 1),
-    ("tolerance", "tolerance", 0),
-    ("threads", "threads", 1),
-)
-
-
-def _check_args(args: argparse.Namespace) -> None:
-    """Reject a command argument below its least value, naming its flag."""
-    for attr, name, least in _LEAST:
-        value = getattr(args, attr, None)
-        if value is not None and not value >= least:
-            raise ConfigError(f"invalid value for {_flag_for(attr)}: {name} must be >= {least}")
-
-
-def _spec(cls, flags: Mapping[str, str], **values):
-    """``cls(**values)``; a value it rejects is a ConfigError naming its flag.
-
-    ``flags`` maps field names to flags; the objects' messages start with the
-    name of the field they reject.
+    The objects' messages start with the name of the field they reject, and
+    ``command``'s declaration gives the field's flag.
     """
     try:
-        return cls(**values)
+        return cls(**values, **extra)
     except ValueError as exc:
         field = str(exc).split()[0]
+        flags = {arg.name: arg.flag for arg in _COMMANDS[command].args}
         raise ConfigError(f"invalid value for {flags.get(field, field)}: {exc}") from None
-
-
-def _parse_list(text: str, flag: str, kind: type = float) -> tuple:
-    try:
-        values = tuple(kind(p) for p in text.split(",") if p.strip())
-    except ValueError:
-        raise ConfigError(f"invalid value for {flag}: {text!r}") from None
-    if not values:
-        raise ConfigError(f"invalid value for {flag}: must list at least one value")
-    return values
 
 
 def _histogram_rows(hist: Histogram) -> list[tuple]:
@@ -213,13 +196,12 @@ class Report(NamedTuple):
     """
 
     summary: str
-    parameters: Mapping = {}
     results: Mapping | None = None
     tables: Mapping = {}
     histogram: Histogram | None = None
 
 
-def _write_report(command: str, cfg: RunConfig, report: Report) -> None:
+def _write_report(command: str, cfg: RunConfig, parameters: Mapping, report: Report) -> None:
     """Write the report files ``cfg.formats`` selects, then print the summary."""
     if report.results is not None:
         out = Path(cfg.out_dir)
@@ -228,7 +210,7 @@ def _write_report(command: str, cfg: RunConfig, report: Report) -> None:
             for stem, (header, rows) in report.tables.items():
                 write_csv(out / f"{stem}.csv", header, rows)
         if "json" in cfg.formats:
-            payload = provenance_payload(command, cfg, report.parameters, report.results)
+            payload = provenance_payload(command, cfg, parameters, report.results)
             write_json(out / f"{command.replace('-', '_')}.json", payload)
         hist = report.histogram
         if "svg" in cfg.formats and hist is not None and hist.total_recorded > 0:
@@ -236,18 +218,17 @@ def _write_report(command: str, cfg: RunConfig, report: Report) -> None:
     print(report.summary)
 
 
-def cmd_trial(args: argparse.Namespace, cfg: RunConfig) -> Report:
+def cmd_trial(args: Mapping, cfg: RunConfig, threads: int) -> Report:
     trial = simulate_trial(rng_new(cfg.seed), cfg.trial)
     return Report(json.dumps(asdict(trial), sort_keys=True))
 
 
-def cmd_campaign(args: argparse.Namespace, cfg: RunConfig) -> Report:
-    result = run_campaign(rng_new(cfg.seed), cfg.trial, cfg.stopping, args.max_measurements)
+def cmd_campaign(args: Mapping, cfg: RunConfig, threads: int) -> Report:
+    result = run_campaign(rng_new(cfg.seed), cfg.trial, cfg.stopping, args["max_measurements"])
     selected = result.selected if result.selected is not None else "none"
     return Report(
         f"selected={selected} measurements={result.measurements} "
         f"discarded={result.discarded}",
-        {"max_measurements": args.max_measurements},
         {
             "selected": result.selected,
             "measurements": result.measurements,
@@ -261,10 +242,10 @@ def cmd_campaign(args: argparse.Namespace, cfg: RunConfig) -> Report:
     )
 
 
-def cmd_success(args: argparse.Namespace, cfg: RunConfig) -> Report:
+def cmd_success(args: Mapping, cfg: RunConfig, threads: int) -> Report:
     outcomes = run_campaign_batch(
-        cfg.trial, cfg.stopping, args.campaigns, cfg.seed,
-        args.max_measurements, workers=args.threads,
+        cfg.trial, cfg.stopping, args["campaigns"], cfg.seed,
+        args["max_measurements"], workers=threads,
     )
     stats = summarize_success(outcomes)
     mean = stats.mean_measurements
@@ -272,7 +253,6 @@ def cmd_success(args: argparse.Namespace, cfg: RunConfig) -> Report:
         f"success={stats.success_fraction:.3f} "
         f"mean_measurements={math.nan if mean is None else mean:.2f} "
         f"no_decision={stats.no_decision_fraction:.3f}",
-        {"campaigns": args.campaigns, "max_measurements": args.max_measurements},
         {
             "success_fraction": stats.success_fraction,
             "mean_measurements": stats.mean_measurements,
@@ -294,72 +274,51 @@ def cmd_success(args: argparse.Namespace, cfg: RunConfig) -> Report:
     )
 
 
-def cmd_budget(args: argparse.Namespace, cfg: RunConfig) -> Report:
-    stats = fixed_budget_success(
-        cfg.trial, args.budget, args.campaigns, cfg.seed, workers=args.threads
-    )
+def cmd_budget(args: Mapping, cfg: RunConfig, threads: int) -> Report:
+    budget = args["budget"]
+    stats = fixed_budget_success(cfg.trial, budget, args["campaigns"], cfg.seed, workers=threads)
     return Report(
-        f"budget={args.budget} success={stats.success_fraction:.3f}",
-        {"budget": args.budget, "campaigns": args.campaigns},
+        f"budget={budget} success={stats.success_fraction:.3f}",
         {"success_fraction": stats.success_fraction, "ci_half_width": stats.ci_half_width},
         {"budget": (
             ("budget", "success_fraction", "ci_half_width", "n_campaigns"),
-            [(args.budget, stats.success_fraction, stats.ci_half_width, stats.n_campaigns)],
+            [(budget, stats.success_fraction, stats.ci_half_width, stats.n_campaigns)],
         )},
     )
 
 
-def cmd_ablate(args: argparse.Namespace, cfg: RunConfig) -> Report:
-    mode = AblationMode(args.mode)
-    distribution = ablation_distribution(cfg.trial, mode, args.trials, cfg.seed)
+def cmd_ablate(args: Mapping, cfg: RunConfig, threads: int) -> Report:
+    mode = AblationMode(args["mode"])
+    distribution = ablation_distribution(cfg.trial, mode, args["trials"], cfg.seed)
     rendered = ", ".join(f"{k}: {v:.3f}" for k, v in sorted(distribution.items()))
     return Report(
         f"mode={mode.value} distribution={{{rendered}}}",
-        {"mode": mode.value, "trials": args.trials},
         {"distribution": {str(k): v for k, v in distribution.items()}},
         {"ablate": (("second_quotient", "fraction"), sorted(distribution.items()))},
     )
 
 
-def cmd_sweep_radius(args: argparse.Namespace, cfg: RunConfig) -> Report:
-    radii = _parse_list(args.radii, "--radii")
-    if not all(0 < r < math.inf for r in radii):
-        raise ConfigError("invalid value for --radii: radius must be finite and > 0")
+def cmd_sweep_radius(args: Mapping, cfg: RunConfig, threads: int) -> Report:
     points = radius_first_iteration_sweep(
-        radii, args.trials_per_radius, cfg.trial, cfg.seed, workers=args.threads
+        args["radii"], args["trials_per_radius"], cfg.trial, cfg.seed, workers=threads
     )
     fractions = [p.fraction_first_21 for p in points]
     return Report(
         f"radii={len(points)} min_fraction={min(fractions):.3f} "
         f"max_fraction={max(fractions):.3f}",
-        {"radii": list(radii), "trials_per_radius": args.trials_per_radius},
         {"fractions": {repr(p.radius): p.fraction_first_21 for p in points}},
         {"sweep_radius": (("radius", "fraction_first_21"), points)},
     )
 
 
-def cmd_grid(args: argparse.Namespace, cfg: RunConfig) -> Report:
-    spec = _spec(
-        SweepSpec,
-        {f: _flag_for(f) for f in ("radii", "budgets", "campaigns_per_cell", "cost_cap")},
-        radii=_parse_list(args.radii, "--radii"),
-        budgets=_parse_list(args.budgets, "--budgets", int),
-        campaigns_per_cell=args.campaigns_per_cell,
-        base_seed=cfg.seed,
-        cost_cap=args.cost_cap,
-    )
-    cells = radius_budget_grid(spec, cfg.trial, workers=args.threads)
+def cmd_grid(args: Mapping, cfg: RunConfig, threads: int) -> Report:
+    spec = _spec(SweepSpec, "grid", args, base_seed=cfg.seed)
+    cells = radius_budget_grid(spec, cfg.trial, workers=threads)
     budget_range = _effect_range(cells, by_budget=True)
     radius_range = _effect_range(cells, by_budget=False)
     return Report(
         f"cells={len(cells)} budget_effect={budget_range:.3f} "
         f"radius_effect={radius_range:.3f}",
-        {
-            "radii": list(spec.radii),
-            "budgets": list(spec.budgets),
-            "campaigns_per_cell": spec.campaigns_per_cell,
-            "cost_cap": spec.cost_cap,
-        },
         {"cells": [[c.radius, c.budget, c.success_fraction] for c in cells]},
         {"grid": (("radius", "budget", "success_fraction"), cells)},
     )
@@ -399,13 +358,12 @@ def _parse_cf_value(text: str) -> float | Fraction:
                       "decimal > 0 whose 3 x value is a finite double")
 
 
-def cmd_cf(args: argparse.Namespace, cfg: RunConfig) -> Report:
-    value = _parse_cf_value(args.value)
-    expansion = cf_expand(value, args.terms, args.tolerance)
+def cmd_cf(args: Mapping, cfg: RunConfig, threads: int) -> Report:
+    expansion = cf_expand(_parse_cf_value(args["value"]), args["terms"], args["tolerance"])
     if expansion.quotients == (0,):
         # a value below 1 cut after its leading 0: the convergent 0 estimates no pi
-        flag = "--terms" if args.terms == 1 else "--tolerance"
-        raise ConfigError(f"invalid value for {flag}: the expansion of {args.value!r} "
+        flag = "--terms" if args["terms"] == 1 else "--tolerance"
+        raise ConfigError(f"invalid value for {flag}: the expansion of {args['value']!r} "
                           "stops at [0], whose convergent 0 gives no pi estimate")
     ratio = convergent(expansion.quotients)
     pi_value = pi_estimate(ratio)
@@ -413,7 +371,6 @@ def cmd_cf(args: argparse.Namespace, cfg: RunConfig) -> Report:
     return Report(
         f"quotients=[{quotients}] convergent={ratio.numerator}/{ratio.denominator} "
         f"pi={pi_value:.7f}",
-        {"value": args.value, "terms": args.terms, "tolerance": args.tolerance},
         {
             "quotients": list(expansion.quotients),
             "exact": expansion.exact,
@@ -424,49 +381,69 @@ def cmd_cf(args: argparse.Namespace, cfg: RunConfig) -> Report:
     )
 
 
-def cmd_recip(args: argparse.Namespace, cfg: RunConfig) -> Report:
-    study = _spec(
-        ReciprocalStudyConfig,
-        {"numerator_mean": "--num-mean", "numerator_stdev": "--num-stdev",
-         "denominator_mean": "--den-mean", "denominator_stdevs": "--stdevs",
-         "samples_per_point": "--samples", "bin_width": "--bin-width"},
-        numerator_mean=args.num_mean,
-        numerator_stdev=args.num_stdev,
-        denominator_mean=args.den_mean,
-        denominator_stdevs=_parse_list(args.stdevs, "--stdevs"),
-        samples_per_point=args.samples,
-        bin_width=args.bin_width,
-    )
-    points = reciprocal_peak_curve(study, rng_new(cfg.seed), workers=args.threads)
+def cmd_recip(args: Mapping, cfg: RunConfig, threads: int) -> Report:
+    study = _spec(ReciprocalStudyConfig, "recip", args)
+    points = reciprocal_peak_curve(study, rng_new(cfg.seed), workers=threads)
     peaks = [math.nan if p.peak_location is None else p.peak_location for p in points]
     return Report(
         f"points={len(points)} first_peak={peaks[0]:.4f} last_peak={peaks[-1]:.4f}",
-        asdict(study),
         {"points": [[p.denominator_stdev, p.peak_location, p.central_mean] for p in points]},
         {"recip": (("denominator_stdev", "peak_location", "central_mean"), points)},
     )
 
 
+# Each command's help line, handler and arguments. Handlers call the library
+# through this module's globals, so replacing one (as a tracer does) reaches them.
+_MAX_MEASUREMENTS = Arg("--max-measurements", _COUNT, 10_000, "max_measurements")
 _COMMANDS = {
-    "trial": cmd_trial,
-    "campaign": cmd_campaign,
-    "success": cmd_success,
-    "budget": cmd_budget,
-    "ablate": cmd_ablate,
-    "sweep-radius": cmd_sweep_radius,
-    "grid": cmd_grid,
-    "cf": cmd_cf,
-    "recip": cmd_recip,
+    "trial": Command("run one measurement trial", cmd_trial, (
+        Arg("--zero-errors", bool, False, "zero_errors",
+            help="disable both error classes for this trial"),)),
+    "campaign": Command("measure until the stopping rule selects a value", cmd_campaign,
+                        (_MAX_MEASUREMENTS,)),
+    "success": Command("success statistics over repeated campaigns", cmd_success, (
+        Arg("--campaigns", _COUNT, 500, "campaigns"), _MAX_MEASUREMENTS)),
+    "budget": Command("success fraction at a fixed measurement budget", cmd_budget, (
+        Arg("--budget", _COUNT, None, "budget"),
+        Arg("--campaigns", _COUNT, 1000, "campaigns"))),
+    "ablate": Command("raw outcome distribution under an error ablation", cmd_ablate, (
+        Arg("--mode", str, "all", "mode", choices=[m.value for m in AblationMode]),
+        Arg("--trials", _COUNT, 10_000, "trials"))),
+    "sweep-radius": Command("first-iteration consistency across radii", cmd_sweep_radius, (
+        Arg("--radii", _list(_radius), (100.0, 150.0, 200.0, 250.0, 300.0, 350.0, 400.0,
+                                        450.0, 500.0, 550.0, 600.0), "radii"),
+        Arg("--trials-per-radius", _COUNT, 2000, "trials_per_radius"))),
+    "grid": Command("success fraction over a radius x budget grid", cmd_grid, (
+        _field(SweepSpec, "--radii", _list(_FLOAT), "radii"),
+        _field(SweepSpec, "--budgets", _list(_INT), "budgets"),
+        _field(SweepSpec, "--campaigns-per-cell", _INT, "campaigns_per_cell"),
+        _field(SweepSpec, "--cost-cap", _INT, "cost_cap"))),
+    "cf": Command("continued-fraction expansion and convergent", cmd_cf, (
+        Arg("--value", str, None, "value",
+            help="pi, pi/3 (doubles), or exact text like 111/106 or 2.75; the reported "
+                 "pi is 3 x the convergent, so it assumes the value approximates pi/3"),
+        Arg("--terms", _COUNT, 3, "terms"),
+        Arg("--tolerance", _number(float, 0), 0.0, "tolerance"))),
+    "recip": Command("peak/mean of a ratio of normals across denominator stdevs", cmd_recip, (
+        _field(ReciprocalStudyConfig, "--num-mean", _FLOAT, "numerator_mean"),
+        _field(ReciprocalStudyConfig, "--num-stdev", _FLOAT, "numerator_stdev"),
+        _field(ReciprocalStudyConfig, "--den-mean", _FLOAT, "denominator_mean"),
+        _field(ReciprocalStudyConfig, "--stdevs", _list(_FLOAT), "denominator_stdevs"),
+        _field(ReciprocalStudyConfig, "--samples", _INT, "samples_per_point"),
+        _field(ReciprocalStudyConfig, "--bin-width", _FLOAT, "bin_width"))),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = _COMMANDS[args.command]
     try:
-        _check_args(args)
-        cfg = _resolve_config(args)
-        _write_report(args.command, cfg, _COMMANDS[args.command](args, cfg))
+        values = {arg.name: _read(arg, getattr(args, arg.flag[2:].replace("-", "_")))
+                  for arg in command.args}
+        threads = _read(_THREADS, args.threads)
+        file_values = load_config_file(args.config) if args.config else {}
+        cfg = resolve(file_values, _flag_values(args), os.environ.get(ENV_OUT_DIR))
+        _write_report(args.command, cfg, values, command.run(values, cfg, threads))
         return EXIT_OK
     except CostCapError as exc:
         print(f"cost cap exceeded: {exc}", file=sys.stderr)

@@ -38,8 +38,8 @@ _MAX_SEED = 2**64
 _STUDY_CHUNK = 4_000_000
 # Bins of one task's grid points in all. A task counts a chunk for a group of
 # consecutive points, in an int32 histogram each, and the merge holds the
-# group's int64 histograms: at most 24 MB for a group, so a point of more
-# than 1,000,000 bins has a group of its own. Grouping moves no result.
+# group's int32 histograms: at most 16 MB in all for a group, so a point of
+# more than 1,000,000 bins has a group of its own. Grouping moves no result.
 _GROUP_BINS = 2_000_000
 # Samples per tile: small enough that a tile's buffers (about 1.3 MB) stay in
 # cache. Tiling moves no draw, no count and no addition of the deviation sum.
@@ -119,7 +119,7 @@ class ReciprocalStudyConfig:
     numerator_stdev: float = 0.2
     denominator_mean: float = 1.0
     denominator_stdevs: tuple[float, ...] = (0.0, 0.05, 0.10, 0.15, 0.20)
-    samples_per_point: int = 100_000_000
+    samples_per_point: int = 1_000_000
     bin_width: float = 0.02
 
     def __post_init__(self) -> None:
@@ -138,9 +138,12 @@ class ReciprocalStudyConfig:
             raise ValueError("denominator_stdevs must all be finite and >= 0")
         if self.samples_per_point < 10_000:
             raise ValueError("samples_per_point must be >= 10000")
+        # a bin's count, at most the point's samples, must fit the int32 histograms
+        if self.samples_per_point >= 2**31:
+            raise ValueError("samples_per_point must be < 2**31")
         if not 0 < self.bin_width < math.inf:
             raise ValueError("bin_width must be finite and > 0")
-        # 2 * ceil(5 * |r0| / bin_width) + 1 bins, at most 4,000,001 (32 MB
+        # 2 * ceil(5 * |r0| / bin_width) + 1 bins, at most 4,000,001 (16 MB
         # a histogram)
         if not 5.0 * abs(self.numerator_mean / self.denominator_mean) / self.bin_width <= 2e6:
             raise ValueError("bin_width must be >= 5 * |numerator_mean / denominator_mean| / 2e6 "
@@ -336,7 +339,7 @@ def reciprocal_peak_curve(
     # (the allocator then reused freed memory rather than fresh zero pages).
     for chunk_points in _run_tasks(_recip_chunk_worker, rng, items, workers, paths):
         if c == 0:
-            counts = [np.zeros(2 * half_bins + 1, dtype=np.int64) for _ in chunk_points]
+            counts = [np.zeros(2 * half_bins + 1, dtype=np.int32) for _ in chunk_points]
             in_window, deviation_sums = [0] * len(chunk_points), [0.0] * len(chunk_points)
         for j, (bins, hits, n, chunk_sum) in enumerate(chunk_points):
             counts[j][bins] += hits

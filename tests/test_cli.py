@@ -223,6 +223,11 @@ def test_campaign_whose_first_iteration_never_passes_the_mark_exits_two(
     pytest.param(["grid", "--budgets", ",,"], "--budgets", id="grid-budgets-empty"),
     pytest.param(["recip", "--stdevs", ","], "--stdevs", id="recip-stdevs-empty"),
     (["success", "--threads", "0"], "--threads"),
+    pytest.param(["success", "--campaigns", "abc"], "--campaigns", id="success-not-a-number"),
+    pytest.param(["grid", "--cost-cap", "x"], "--cost-cap", id="grid-not-a-number"),
+    pytest.param(["recip", "--samples", "many"], "--samples", id="recip-not-a-number"),
+    pytest.param(["budget", "--budget", "1", "--threads", "two"], "--threads",
+                 id="threads-not-a-number"),
 ], ids=lambda value: value if isinstance(value, str) else value[0])
 def test_argument_errors_exit_two_naming_the_flag(argv, flag, tmp_path, capsys):
     out_dir = tmp_path / "out"
@@ -231,6 +236,36 @@ def test_argument_errors_exit_two_naming_the_flag(argv, flag, tmp_path, capsys):
     assert err.startswith(f"error: invalid value for {flag}: ")
     assert out == ""
     assert not out_dir.exists()
+
+
+# each file-writing command with every argument at its default, but for one
+# size kept tiny: its parameters are the defaults, written out
+_DEFAULT_PARAMETERS = [
+    (["campaign"], {"max_measurements": 10000}),
+    (["success", "--campaigns", "1"], {"campaigns": 1, "max_measurements": 10000}),
+    (["budget", "--budget", "1"], {"budget": 1, "campaigns": 1000}),
+    (["ablate", "--trials", "10"], {"mode": "all", "trials": 10}),
+    (["sweep-radius", "--trials-per-radius", "1"],
+     {"radii": [100.0, 150.0, 200.0, 250.0, 300.0, 350.0, 400.0, 450.0, 500.0, 550.0, 600.0],
+      "trials_per_radius": 1}),
+    (["grid", "--campaigns-per-cell", "1"],
+     {"radii": [200.0, 300.0, 450.0, 600.0, 900.0], "budgets": [25, 50, 100, 200, 325, 500],
+      "campaigns_per_cell": 1, "cost_cap": 100000}),
+    (["cf", "--value", "pi/3"], {"value": "pi/3", "terms": 3, "tolerance": 0.0}),
+    (["recip", "--samples", "10000"],
+     {"numerator_mean": 5.0, "numerator_stdev": 0.2, "denominator_mean": 1.0,
+      "denominator_stdevs": [0.0, 0.05, 0.1, 0.15, 0.2], "samples_per_point": 10000,
+      "bin_width": 0.02}),
+]
+
+
+@pytest.mark.parametrize("argv, parameters", _DEFAULT_PARAMETERS,
+                         ids=[argv[0] for argv, _ in _DEFAULT_PARAMETERS])
+def test_command_defaults_reach_the_report_parameters(argv, parameters, tmp_path, capsys):
+    code, _, _ = run(capsys, *argv, "--formats", "json", "--out", str(tmp_path))
+    assert code == 0
+    (report,) = tmp_path.glob("*.json")
+    assert json.loads(report.read_text())["parameters"] == parameters
 
 
 def test_unknown_flag_exits_two():

@@ -145,6 +145,10 @@ def test_reciprocal_config_validation():
         ReciprocalStudyConfig(denominator_mean=0.0)
     with pytest.raises(ValueError):
         ReciprocalStudyConfig(samples_per_point=9_999)
+    # a bin counts at most samples_per_point, in int32 histograms
+    ReciprocalStudyConfig(samples_per_point=2**31 - 1)
+    with pytest.raises(ValueError, match=r"^samples_per_point must be < 2\*\*31$"):
+        ReciprocalStudyConfig(samples_per_point=2**31)
     with pytest.raises(ValueError):
         ReciprocalStudyConfig(denominator_stdevs=(0.1, -0.1))
     with pytest.raises(ValueError):
