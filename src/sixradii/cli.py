@@ -7,7 +7,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -16,6 +16,7 @@ from .config import (
     SCHEMA,
     ConfigError,
     RunConfig,
+    keys_of,
     load_config_file,
     parse_value,
     resolve,
@@ -26,6 +27,7 @@ from .experiments import (
     CostCapError,
     SweepSpec,
     ablation_distribution,
+    apply_ablation,
     fixed_budget_success,
     radius_budget_grid,
     radius_first_iteration_sweep,
@@ -44,10 +46,6 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_CONFIG = 2
 EXIT_COST_CAP = 3
-
-
-def _flag_for(key: str) -> str:
-    return "--out" if key == "out_dir" else "--" + key.replace("_", "-")
 
 
 class Arg(NamedTuple):
@@ -71,6 +69,7 @@ class Command(NamedTuple):
     help: str
     run: Callable  # (arguments by name, config, threads) -> Report
     args: tuple[Arg, ...]
+    reads: tuple[str, ...]  # the config keys ``run`` reads: the only ones flagged and hashed
 
 
 def _number(kind: type, least: float | None = None) -> Callable:
@@ -138,16 +137,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sixradii",
         description="Simulate the wire measurement of a circle against six radii.",
+        allow_abbrev=False,
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="FILE", help="flat key=value config file")
     _add_argument(common, _THREADS)
-    for field in SCHEMA:
-        common.add_argument(_flag_for(field.name), dest=f"cfg_{field.name}", metavar="VALUE",
-                            help=field.help)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
-        p = sub.add_parser(name, parents=[common], help=command.help)
+        p = sub.add_parser(name, parents=[common], help=command.help, allow_abbrev=False)
+        # a flag for each key the command reads, and for where its reports go
+        for field in SCHEMA:
+            if field.name in (*command.reads, "out_dir", "formats"):
+                flag = "--out" if field.name == "out_dir" else "--" + field.name.replace("_", "-")
+                p.add_argument(flag, dest=f"cfg_{field.name}", metavar="VALUE", help=field.help)
         for arg in command.args:
             _add_argument(p, arg)
     return parser
@@ -159,9 +161,6 @@ def _flag_values(args: argparse.Namespace) -> dict:
         raw = getattr(args, f"cfg_{field.name}", None)
         if raw is not None:
             values[field.name] = parse_value(field, raw)
-    if getattr(args, "zero_errors", False):
-        values["fixed_errors_enabled"] = False
-        values["random_errors_enabled"] = False
     return values
 
 
@@ -210,7 +209,8 @@ def _write_report(command: str, cfg: RunConfig, parameters: Mapping, report: Rep
             for stem, (header, rows) in report.tables.items():
                 write_csv(out / f"{stem}.csv", header, rows)
         if "json" in cfg.formats:
-            payload = provenance_payload(command, cfg, parameters, report.results)
+            payload = provenance_payload(command, cfg, _COMMANDS[command].reads, parameters,
+                                         report.results)
             write_json(out / f"{command.replace('-', '_')}.json", payload)
         hist = report.histogram
         if "svg" in cfg.formats and hist is not None and hist.total_recorded > 0:
@@ -219,7 +219,10 @@ def _write_report(command: str, cfg: RunConfig, parameters: Mapping, report: Rep
 
 
 def cmd_trial(args: Mapping, cfg: RunConfig, threads: int) -> Report:
-    trial = simulate_trial(rng_new(cfg.seed), cfg.trial)
+    setup = cfg.trial
+    if args["zero_errors"]:
+        setup = replace(setup, error_model=apply_ablation(setup.error_model, AblationMode.NONE))
+    trial = simulate_trial(rng_new(cfg.seed), setup)
     return Report(json.dumps(asdict(trial), sort_keys=True))
 
 
@@ -392,45 +395,49 @@ def cmd_recip(args: Mapping, cfg: RunConfig, threads: int) -> Report:
     )
 
 
-# Each command's help line, handler and arguments. Handlers call the library
-# through this module's globals, so replacing one (as a tracer does) reaches them.
+# Each command's help line, handler, arguments and the config keys it reads. Handlers call
+# the library through this module's globals, so replacing one (as a tracer does) reaches them.
 _MAX_MEASUREMENTS = Arg("--max-measurements", _COUNT, 10_000, "max_measurements")
+_TRIAL_KEYS, _CAMPAIGN_KEYS = keys_of("seed", "trial"), keys_of("seed", "trial", "stopping")
 _COMMANDS = {
     "trial": Command("run one measurement trial", cmd_trial, (
         Arg("--zero-errors", bool, False, "zero_errors",
-            help="disable both error classes for this trial"),)),
+            help="disable both error classes for this trial"),), _TRIAL_KEYS),
     "campaign": Command("measure until the stopping rule selects a value", cmd_campaign,
-                        (_MAX_MEASUREMENTS,)),
+                        (_MAX_MEASUREMENTS,), _CAMPAIGN_KEYS),
     "success": Command("success statistics over repeated campaigns", cmd_success, (
-        Arg("--campaigns", _COUNT, 500, "campaigns"), _MAX_MEASUREMENTS)),
+        Arg("--campaigns", _COUNT, 500, "campaigns"), _MAX_MEASUREMENTS), _CAMPAIGN_KEYS),
     "budget": Command("success fraction at a fixed measurement budget", cmd_budget, (
         Arg("--budget", _COUNT, None, "budget"),
-        Arg("--campaigns", _COUNT, 1000, "campaigns"))),
+        Arg("--campaigns", _COUNT, 1000, "campaigns")), _TRIAL_KEYS),
     "ablate": Command("raw outcome distribution under an error ablation", cmd_ablate, (
         Arg("--mode", str, "all", "mode", choices=[m.value for m in AblationMode]),
-        Arg("--trials", _COUNT, 10_000, "trials"))),
+        Arg("--trials", _COUNT, 10_000, "trials")),  # --mode sets both error toggles
+        keys_of("seed", "trial", less=("fixed_errors_enabled", "random_errors_enabled"))),
     "sweep-radius": Command("first-iteration consistency across radii", cmd_sweep_radius, (
         Arg("--radii", _list(_radius), (100.0, 150.0, 200.0, 250.0, 300.0, 350.0, 400.0,
                                         450.0, 500.0, 550.0, 600.0), "radii"),
-        Arg("--trials-per-radius", _COUNT, 2000, "trials_per_radius"))),
+        Arg("--trials-per-radius", _COUNT, 2000, "trials_per_radius")),  # first counts never round
+        keys_of("seed", "trial", less=("radius", "literal_rounding"))),
     "grid": Command("success fraction over a radius x budget grid", cmd_grid, (
         _field(SweepSpec, "--radii", _list(_FLOAT), "radii"),
         _field(SweepSpec, "--budgets", _list(_INT), "budgets"),
         _field(SweepSpec, "--campaigns-per-cell", _INT, "campaigns_per_cell"),
-        _field(SweepSpec, "--cost-cap", _INT, "cost_cap"))),
+        _field(SweepSpec, "--cost-cap", _INT, "cost_cap")),
+        keys_of("seed", "trial", less=("radius",))),
     "cf": Command("continued-fraction expansion and convergent", cmd_cf, (
         Arg("--value", str, None, "value",
             help="pi, pi/3 (doubles), or exact text like 111/106 or 2.75; the reported "
                  "pi is 3 x the convergent, so it assumes the value approximates pi/3"),
         Arg("--terms", _COUNT, 3, "terms"),
-        Arg("--tolerance", _number(float, 0), 0.0, "tolerance"))),
+        Arg("--tolerance", _number(float, 0), 0.0, "tolerance")), ()),
     "recip": Command("peak/mean of a ratio of normals across denominator stdevs", cmd_recip, (
         _field(ReciprocalStudyConfig, "--num-mean", _FLOAT, "numerator_mean"),
         _field(ReciprocalStudyConfig, "--num-stdev", _FLOAT, "numerator_stdev"),
         _field(ReciprocalStudyConfig, "--den-mean", _FLOAT, "denominator_mean"),
         _field(ReciprocalStudyConfig, "--stdevs", _list(_FLOAT), "denominator_stdevs"),
         _field(ReciprocalStudyConfig, "--samples", _INT, "samples_per_point"),
-        _field(ReciprocalStudyConfig, "--bin-width", _FLOAT, "bin_width"))),
+        _field(ReciprocalStudyConfig, "--bin-width", _FLOAT, "bin_width")), ("seed",)),
 }
 
 

@@ -16,7 +16,7 @@ import hashlib
 import math
 import os
 from dataclasses import dataclass, field, fields, is_dataclass
-from typing import Mapping, NamedTuple
+from typing import Collection, Mapping, NamedTuple
 
 # Fractional circumference error that flips the second iteration from 5 to 4.
 FLIP_ERROR_FRACTION = 3e-5
@@ -219,7 +219,6 @@ class SchemaField(NamedTuple):
     kind: str  # float | int | bool | str | formats
     default: object
     help: str
-    in_digest: bool  # False for keys that cannot affect results
     path: tuple[str, ...]  # attribute path from RunConfig to the value
 
     def read(self, cfg: RunConfig):
@@ -229,9 +228,9 @@ class SchemaField(NamedTuple):
         return value
 
 
-def _key(name: str, help_text: str, in_digest: bool = True) -> SchemaField:
+def _key(name: str, help_text: str) -> SchemaField:
     path, f = _LEAVES[name]
-    return SchemaField(name, _KINDS[f.type], f.default, help_text, in_digest, path)
+    return SchemaField(name, _KINDS[f.type], f.default, help_text, path)
 
 
 SCHEMA: tuple[SchemaField, ...] = (
@@ -251,8 +250,8 @@ SCHEMA: tuple[SchemaField, ...] = (
     _key("peak_dominance", "required peak/neighbor count ratio"),
     _key("min_consecutive_bins", "minimum consecutive bins above the threshold fraction"),
     _key("bin_threshold_fraction", "fraction of the peak count a bin must exceed"),
-    _key("out_dir", "directory for report files", in_digest=False),
-    _key("formats", "output formats: csv,json,svg", in_digest=False),
+    _key("out_dir", "directory for report files"),
+    _key("formats", "output formats: csv,json,svg"),
 )
 
 _BY_NAME = {f.name: f for f in SCHEMA}
@@ -319,23 +318,25 @@ def load_config_file(path: str) -> dict:
         return parse_config_text(handle.read())
 
 
-def serialize(cfg: RunConfig, result_keys_only: bool = False) -> str:
-    """Canonical text form, one key per line in schema order.
+def keys_of(*fields: str, less: tuple[str, ...] = ()) -> tuple[str, ...]:
+    """The keys that set the named RunConfig fields, but those in ``less``, in schema order."""
+    return tuple(key.name for key in SCHEMA if key.path[0] in fields and key.name not in less)
 
-    ``result_keys_only`` drops keys that cannot affect simulation results
-    (output directory and formats); that view feeds provenance records and
-    the digest, so reports stay byte-identical wherever they are written.
+
+def serialize(cfg: RunConfig, keys: Collection[str] | None = None) -> str:
+    """Canonical text form, one line per key in schema order: every key, or those in ``keys``.
+
+    A command's provenance record and digest take the keys it reads, so
+    reports stay byte-identical wherever they are written and whatever else
+    the config sets.
     """
-    lines = [
-        f"{key.name} = {_format_value(key, key.read(cfg))}"
-        for key in SCHEMA
-        if key.in_digest or not result_keys_only
-    ]
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key.name} = {_format_value(key, key.read(cfg))}\n"
+                   for key in SCHEMA if keys is None or key.name in keys)
 
 
-def digest(cfg: RunConfig) -> str:
-    return hashlib.sha256(serialize(cfg, result_keys_only=True).encode("utf-8")).hexdigest()
+def digest(cfg: RunConfig, keys: Collection[str] = keys_of("seed", "trial", "stopping")) -> str:
+    """SHA-256 of ``serialize(cfg, keys)``; by default over every key a result can depend on."""
+    return hashlib.sha256(serialize(cfg, keys).encode("utf-8")).hexdigest()
 
 
 def resolve(

@@ -3,15 +3,15 @@
 CSV uses '.' decimals, a mandatory header row, and newline-terminated rows;
 floats are written with repr (shortest round-trip form) so files compare
 byte for byte across runs and platforms. Provenance JSON records the
-resolved configuration and its digest but nothing volatile (no timestamps,
-no thread counts), keeping outputs reproducible.
+config keys the command reads and their digest but nothing volatile (no
+timestamps, no thread counts), keeping outputs reproducible.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from . import __version__
 from .config import RunConfig, digest, serialize
@@ -40,14 +40,15 @@ def write_json(path: Path, payload: Mapping) -> None:
 
 
 def provenance_payload(
-    command: str, cfg: RunConfig, parameters: Mapping, results: Mapping
+    command: str, cfg: RunConfig, reads: Collection[str], parameters: Mapping, results: Mapping
 ) -> dict:
+    """The provenance record of a command that reads the config keys ``reads``."""
     return {
         "command": command,
         "version": __version__,
-        "seed": cfg.seed,
-        "config": serialize(cfg, result_keys_only=True),
-        "config_digest": digest(cfg),
+        **({"seed": cfg.seed} if "seed" in reads else {}),
+        "config": serialize(cfg, reads),
+        "config_digest": digest(cfg, reads),
         "parameters": dict(parameters),
         "results": dict(results),
     }

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 
 from sixradii import cli
 from sixradii.cli import main
-from sixradii.config import ErrorModel, TrialConfig
+from sixradii.config import ErrorModel, RunConfig, TrialConfig, serialize
 from sixradii.measurement import trial_blocks
 from sixradii.stochastics import rng_new
 
@@ -116,12 +117,15 @@ def test_recip_near_the_float_limit_warns_of_nothing(spread, tmp_path):
     assert (result.returncode, result.stderr) == (0, "")
 
 
-# cf and recip do not use the trial model, but a config it rejects still fails
+# cf and recip do not read radius and take no --radius, but a config file may
+# still set it, and a value the trial model rejects still fails
 @pytest.mark.parametrize("argv", [["trial"], ["cf", "--value", "pi/3"], ["recip"]],
                          ids=lambda argv: argv[0])
 def test_trial_bad_radius_names_key(argv, tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("radius = -5\n")
     out_dir = tmp_path / "out"
-    code, _, err = run(capsys, *argv, "--seed", "1", "--radius", "-5", "--out", str(out_dir))
+    code, _, err = run(capsys, *argv, "--config", str(config), "--out", str(out_dir))
     assert code == 2
     assert "radius" in err
     assert not out_dir.exists()
@@ -272,6 +276,92 @@ def test_unknown_flag_exits_two():
     with pytest.raises(SystemExit) as excinfo:
         main(["trial", "--no-such-flag", "1"])
     assert excinfo.value.code == 2
+
+
+# one spelling per flag: an abbreviation is refused, so that an unambiguous
+# prefix cannot quietly mean another flag once a command loses one
+@pytest.mark.parametrize("argv", [
+    ["budget", "--bud", "5", "--camp", "2", "--form", "csv"],
+    ["budget", "--budget", "5", "--camp", "2"],
+    ["grid", "--rad", "300"],
+], ids=["budget", "budget-campaigns", "grid"])
+def test_abbreviated_flag_exits_two(argv, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--out", str(out_dir)])
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert not out_dir.exists()
+
+
+# Each result key moved far enough off its default to move the results of
+# every command that reads it, at the sizes below.
+_MOVED = {
+    "radius": "300", "seed": "1", "literal_rounding": "true", "wire_diameter": "10",
+    "bend_elongation_per_mm": "1", "cut_elongation": "0.5", "cut_match_stdev": "1",
+    "juxtaposition_span": "1", "circumference_stdev_base": "1",
+    "circumference_stdev_slope": "0.003", "fixed_errors_enabled": "false",
+    "random_errors_enabled": "false", "min_peak_count": "100", "peak_dominance": "3",
+    "min_consecutive_bins": "8", "bin_threshold_fraction": "0.5",
+}
+_TINY = {
+    "campaign": ["--max-measurements", "400"],
+    "success": ["--campaigns", "4", "--max-measurements", "400"],
+    "budget": ["--budget", "20", "--campaigns", "100"],
+    "ablate": ["--trials", "2000"],
+    "sweep-radius": ["--radii", "100,450", "--trials-per-radius", "2000"],
+    "grid": ["--radii", "300,450", "--budgets", "20", "--campaigns-per-cell", "50"],
+    "cf": ["--value", "111/106"],
+    "recip": ["--samples", "10000", "--stdevs", "0,0.1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_TINY))
+def test_a_key_is_read_and_hashed_or_refused_and_ignored(command, tmp_path, capsys):
+    # no config key is accepted, hashed into the provenance and then ignored
+    def report(*extra):
+        out_dir = tmp_path / f"run{len(list(tmp_path.iterdir()))}"
+        code, _, _ = run(capsys, command, *_TINY[command], *extra, "--threads", "1",
+                         "--formats", "json", "--out", str(out_dir))
+        assert code == 0
+        return (out_dir / f"{command.replace('-', '_')}.json").read_text()
+
+    base = report()
+    for key, value in _MOVED.items():
+        flag = "--" + key.replace("_", "-")
+        if key in cli._COMMANDS[command].reads:
+            moved, before = json.loads(report(flag, value)), json.loads(base)
+            assert moved["results"] != before["results"], key
+            changed = set(moved["config"].splitlines()) - set(before["config"].splitlines())
+            assert [line.split(" = ")[0] for line in changed] == [key]
+        else:
+            with pytest.raises(SystemExit) as excinfo:
+                main([command, *_TINY[command], flag, value])
+            assert excinfo.value.code == 2, key
+            config = tmp_path / "run.cfg"
+            config.write_text(f"{key} = {value}\n")
+            assert report("--config", str(config)) == base, key
+
+
+def test_readme_lists_the_keys_each_command_reads():
+    # the README's groups: the trial keys run from radius to random_errors_enabled
+    # in the key list, less seed, and the stopping keys are the four after them
+    keys = [line.split(" = ")[0] for line in serialize(RunConfig()).splitlines()]
+    end = keys.index("random_errors_enabled") + 1
+    groups = {"the trial keys": set(keys[:end]) - {"seed"},
+              "the stopping keys": set(keys[end:end + 4])}
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| command | config keys it reads | count |\n", 1)[1].split("\n\n")[0]
+    listed = {}
+    for row in table.splitlines()[1:]:
+        commands, reads, count = (cell.strip() for cell in row.strip("|").split("|"))
+        kept, _, less = re.sub(r"\(.*?\)", "", reads).partition(" less ")
+        named = set(re.findall(r"`(\w+)`", kept)).union(
+            *(group for phrase, group in groups.items() if phrase in kept))
+        for command in re.findall(r"`([\w-]+)`", commands):
+            listed[command] = (named - set(re.findall(r"`(\w+)`", less)), int(count))
+    assert listed == {name: (set(command.reads), len(command.reads))
+                      for name, command in cli._COMMANDS.items()}
 
 
 def test_unknown_ablation_mode_exits_two(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -43,6 +44,13 @@ def test_roundtrip_with_modified_values():
 def test_digest_is_stable_and_sensitive():
     assert digest(RunConfig()) == digest(RunConfig())
     assert digest(RunConfig()) != digest(resolve({"radius": 451.0}))
+
+
+def test_serialize_writes_the_given_keys_in_schema_order():
+    cfg = resolve({"seed": 4})
+    assert serialize(cfg, ("seed", "radius")) == "radius = 450.0\nseed = 4\n"
+    assert serialize(cfg, ()) == ""
+    assert digest(cfg, ()) == hashlib.sha256(b"").hexdigest()
 
 
 def test_unknown_key_is_named():

@@ -20,7 +20,7 @@ def test_the_exact_path_loads_no_numpy():
              "c.euclid_quotients(355, 113); "
              "sixradii.TrialConfig(); sixradii.StoppingCriteria(); "
              "cfg = config.resolve({}, {'radius': 300.0}); config.digest(cfg); "
-             "reports.provenance_payload('trial', cfg, {}, {}); "
+             "reports.provenance_payload('trial', cfg, ('radius', 'seed'), {}, {}); "
              "print([m for m in sys.modules if m == 'numpy' or m.startswith('numpy.')])")
     env = {**os.environ, "PYTHONPATH": str(Path(sixradii.__file__).parents[1])}
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
