@@ -6,9 +6,8 @@ k on ``(seed, k)`` with its campaigns on ``(seed, k, c)``, radius i of a
 sweep on ``(seed, i)``, and each adds the index of its trial block. Each
 batch is one worker ``fn(rng, item)`` and one call of the package's one
 batch-worker helper, :func:`~sixradii.stochastics._run_tasks`, which
-derives child stream i of the batch root for item i and sends each worker
-its items with their streams. Batches can therefore be chunked across
-processes with results identical to a serial run. Trials come from
+derives child stream i of the batch root for item i, so a batch forked
+across processes gives the results of a serial run. Trials come from
 :func:`~sixradii.measurement.trial_blocks`, one block kernel call per block.
 
 numpy is imported by the functions that count trial outcomes, on their first

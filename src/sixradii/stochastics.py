@@ -11,11 +11,12 @@ bottom of the import graph, so that both the ratio study below and the batch
 experiments in :mod:`sixradii.experiments` fan out through it. A batch is a
 root stream and a list of items, and item i runs on child stream i of the
 root (or on the path below the root that the caller gives it), whichever
-process runs it. The helper derives the streams, and a pool worker is sent
-each as its address: a state builds its numpy generator on its first draw.
-Items may share a stream: every grid point of the ratio study draws its
-chunk c from the same stream, so the points compare on common random numbers
-and a chunk's draws are made once for a whole group of points.
+process runs it. The helper derives the streams, and its forked workers
+inherit them (a state builds its numpy generator on its first draw) and
+send results back as pickled frames; without ``os.fork`` a batch runs
+serially. Items may share a stream: every grid point of the ratio study
+draws its chunk c from the same stream, so the points compare on common
+random numbers and a chunk's draws are made once for a whole group of points.
 
 numpy is imported by the functions that draw or count, on their first call,
 so importing this module loads no numpy.
@@ -24,8 +25,9 @@ so importing this module loads no numpy.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, NoReturn
 
 if TYPE_CHECKING:
     import numpy as np
@@ -161,34 +163,90 @@ def _run_tasks(fn: Callable, root: RngState, items: list, workers: int,
     """Yield ``fn(stream, item)`` for each item, in item order.
 
     The one batch-worker helper of the package: every batch goes through it,
-    on up to ``workers`` processes. Item i runs on the stream at ``paths[i]``
-    below ``root``, by default ``(i,)``: child stream i. Results come back in
-    item order, so a batch gives the same results at any worker count, and
-    lazily, so a caller that folds them holds few at once. A worker is sent
-    each item with its stream, derived here and not yet drawn, so sent as its
-    address. Items go out in about four chunks per worker: enough to even out
-    items of uneven cost, few enough to keep the round trips cheap. numpy is
-    loaded in the parent before the pool forks, so the workers inherit it;
-    ``numpy.random``, which numpy loads on first use, is not, and each worker
-    imports it on its first draw: loading it in the parent added 2.5 MB to
-    the peak RSS of a pooled ``success`` and made it no faster.
+    on up to ``workers`` forked processes (serially where there is no
+    ``os.fork``). Item i runs on the stream at ``paths[i]`` below ``root``, by
+    default ``(i,)``: child stream i. Results come back in item order, so a
+    batch gives the same results at any worker count, and lazily, so a
+    caller that folds them holds few at once. Items go in about four chunks
+    per worker, to even out items of uneven cost: a child takes chunk
+    numbers from one pre-filled task pipe and sends on its own pipe a frame
+    for each, an 8-byte length and the pickled ``(chunk, results or
+    exception)``. The parent reads whole frames from whichever child is
+    ready and raises an exception in its chunk's turn; however the batch
+    ends, it kills the children still running and reaps them all.
     """
     if paths is None:
         streams = [derive_child(root, i) for i in range(len(items))]
     else:
         streams = [RngState(root.seed, root.path + tuple(path)) for path in paths]
-    if workers <= 1 or len(items) <= 1:
+    if workers <= 1 or len(items) <= 1 or not hasattr(os, "fork"):
         yield from map(fn, streams, items)
         return
-    # imported here, so that importing the package loads no process machinery;
-    # numpy before the fork, so that the workers inherit it
-    from concurrent.futures import ProcessPoolExecutor
+    import pickle  # these here, so that importing the package loads neither
+    import select
 
-    import numpy  # noqa: F401
+    import numpy  # noqa: F401  (before the fork; not numpy.random, 2.5 MB more peak RSS)
 
-    chunksize = max(1, len(items) // (4 * workers))
-    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        yield from pool.map(fn, streams, items, chunksize=chunksize)
+    # at most PIPE_BUF // 4 chunks, so that the task pipe takes every 4-byte record
+    size = max(1, len(items) // (4 * workers), math.ceil(len(items) / (select.PIPE_BUF // 4)))
+    chunks = [(streams[i:i + size], items[i:i + size]) for i in range(0, len(items), size)]
+    task_r, task_w = os.pipe()
+    os.write(task_w, b"".join(k.to_bytes(4, "little") for k in range(len(chunks))))
+    os.close(task_w)
+
+    def work(out: int) -> NoReturn:  # a child: a frame on out for each chunk it takes
+        try:
+            while record := os.read(task_r, 4):
+                k = int.from_bytes(record, "little")
+                try:
+                    frame = pickle.dumps((k, list(map(fn, *chunks[k]))), -1)
+                except Exception as exc:
+                    frame = pickle.dumps((k, exc), -1)
+                for view in map(memoryview, (len(frame).to_bytes(8, "little"), frame)):
+                    while view:
+                        view = view[os.write(out, view):]
+        finally:
+            os._exit(0)  # never returning into the parent's stack
+
+    def read(fd: int, n: int) -> bytearray:  # the next n bytes of a result pipe
+        frame, got = bytearray(n), 0
+        while got < n:
+            if not (part := os.readv(fd, [memoryview(frame)[got:]])):
+                raise RuntimeError("a batch worker ended without sending its results")
+            got += part
+        return frame
+
+    poller, readers, done = select.poll(), {}, {}  # readers: result pipe -> child pid
+    try:
+        for _ in range(min(workers, len(chunks))):
+            r, w = os.pipe()
+            if (pid := os.fork()) == 0:
+                work(w)
+            readers[r] = pid
+            os.close(w)
+            poller.register(r, select.POLLIN)
+        for k in range(len(chunks)):
+            while k not in done:
+                if not readers:
+                    raise RuntimeError("a batch worker ended without sending its results")
+                for fd, _ in poller.poll():
+                    if head := os.read(fd, 8):  # a length, written whole, so read whole
+                        done.update([pickle.loads(read(fd, int.from_bytes(head, "little")))])
+                    else:  # the child has ended
+                        poller.unregister(fd)
+                        os.waitpid(readers.pop(fd), 0)
+                        os.close(fd)
+            if isinstance(value := done.pop(k), BaseException):
+                raise value
+            value.reverse()  # popped as yielded, so that a caller's fold frees each
+            while value:
+                yield value.pop()
+    finally:
+        for fd, pid in readers.items():
+            os.kill(pid, 9)  # SIGKILL; importing signal would cost 2-3 ms
+            os.waitpid(pid, 0)
+            os.close(fd)
+        os.close(task_r)
 
 
 def _recip_window(cfg: ReciprocalStudyConfig) -> tuple[float, int]:
@@ -252,15 +310,17 @@ def _recip_chunk_worker(rng: RngState, item: tuple) -> list[tuple]:
                 # cast the whole tile into its buffer, then select (casting the
                 # selected floats makes two fresh arrays and is several times
                 # slower); the casts of NaN and inf offsets are never selected
-                np.copyto(idx_buf[:m], offsets, casting="unsafe")
+                idx = idx_buf[:m]
+                np.copyto(idx, offsets, casting="unsafe")
                 # NaN and +-inf offsets fail the comparison, so no isfinite mask is needed
                 keep = np.less_equal(np.abs(offsets, out=offsets), half_bins, out=keep_buf[:m])
-                idx = idx_buf[:m][keep]
+                if not keep.all():  # most tiles lie wholly in the window and skip both compresses
+                    idx, deviations = idx[keep], deviations[keep]
                 idx += half_bins
                 # add.at, not bincount: its cost does not grow with the bin count
                 np.add.at(counts[j], idx, one)
                 in_window[j] += idx.size
-                sums[j], held[j] = _add_blocks(deviations[keep], pending[j], held[j], sums[j])
+                sums[j], held[j] = _add_blocks(deviations, pending[j], held[j], sums[j])
     results = []
     for j in range(len(stdevs)):
         bins = np.flatnonzero(counts[j]).astype(np.int32)

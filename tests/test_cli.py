@@ -374,13 +374,43 @@ def test_unknown_ablation_mode_exits_two(tmp_path, capsys):
 
 
 def test_importing_the_cli_loads_no_process_machinery():
-    # the pool is imported when a batch first fans out, not at start-up
+    # batches fork their workers directly: no command loads a process pool
     probe = ("import sys, sixradii.cli; "
              "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])")
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             env=env, check=True)
     assert result.stdout == "[]\n"
+
+
+def test_a_forked_command_prints_its_lines_once(tmp_path):
+    # the workers end in os._exit: none flushes the stdout buffer it inherited
+    # ("start" is still in it at the fork) or returns into the command
+    probe = ("import sys; from sixradii import cli; print('start'); "
+             "print('end', cli.main(sys.argv[1:]))")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", probe, "success", *_TINY["success"],
+                             "--threads", "2", "--formats", "csv", "--out", str(tmp_path)],
+                            capture_output=True, text=True, env=env, check=True)
+    start, line, end = result.stdout.splitlines()
+    assert (start, line.split("=")[0], end) == ("start", "success", "end 0")
+    assert result.stderr == ""
+
+
+@pytest.mark.parametrize("command", ["success", "budget", "sweep-radius", "grid"])
+def test_a_degenerate_config_exits_two_at_any_thread_count(command, tmp_path, capsys):
+    # a worker's DegenerateConfigError reaches main with its type and message
+    seen = []
+    for threads in ("1", "2"):
+        out_dir = tmp_path / threads
+        seen.append(run(capsys, command, *_TINY[command], "--circumference-stdev-base", "1e6",
+                        "--threads", threads, "--out", str(out_dir)))
+        assert not out_dir.exists()
+    code, out, err = seen[0]
+    assert seen[1] == seen[0]
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"error: circumference piece \S+ outside \(0, 6R\); "
+                        r"check error magnitudes\n", err)
 
 
 # Runs main on its argv in a fresh interpreter, then prints the exit code and

@@ -1,7 +1,9 @@
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from sixradii import stochastics
 from sixradii.stochastics import (
     ReciprocalStudyConfig,
+    _run_tasks,
     derive_child,
     normal_block,
     reciprocal_peak_curve,
@@ -71,7 +74,8 @@ def test_seed_out_of_range_rejected():
 
 
 def test_pool_workers_inherit_numpy_from_the_parent():
-    # the parent loads numpy before the pool forks, so no worker loads it again
+    # the parent loads numpy before it forks, so no worker loads it again, and
+    # a forked batch loads no process-pool machinery
     probe = """
 import sys
 from sixradii.stochastics import _run_tasks, rng_new
@@ -80,12 +84,87 @@ def seen(rng, item):
     return "numpy" in sys.modules
 
 if __name__ == "__main__":
-    print("numpy" in sys.modules, list(_run_tasks(seen, rng_new(0), list(range(4)), 2)))
+    print("numpy" in sys.modules, list(_run_tasks(seen, rng_new(0), list(range(4)), 2)),
+          [m for m in ("concurrent.futures", "multiprocessing") if m in sys.modules])
 """
     env = {**os.environ, "PYTHONPATH": str(Path(stochastics.__file__).parents[1])}
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             env=env, check=True)
-    assert result.stdout == "False [True, True, True, True]\n"
+    assert result.stdout == "False [True, True, True, True] []\n"
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class WorkerError(Exception):
+    pass
+
+
+def test_a_worker_exception_reaches_the_caller(deadline):
+    def fn(rng, item):
+        if item == 13:
+            raise WorkerError(f"item {item} failed")
+        return item
+
+    with deadline(30), pytest.raises(WorkerError, match="^item 13 failed$"):
+        list(_run_tasks(fn, rng_new(0), list(range(40)), 2))
+    assert_no_child_left()
+
+
+# run serially, these workers would end the test process itself
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="batches run serially without os.fork")
+@pytest.mark.parametrize("end", ["kill", "exit"])
+def test_a_worker_that_dies_makes_the_batch_raise(end, deadline):
+    # a worker ending mid-batch without sending its chunk, by a signal or by
+    # os._exit(0), is an error in the caller, not a hang
+    def fn(rng, item):
+        if item == 7:
+            if end == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            os._exit(0)
+        return item
+
+    with deadline(30), pytest.raises(RuntimeError, match="ended without sending"):
+        list(_run_tasks(fn, rng_new(0), list(range(40)), 2))
+    assert_no_child_left()
+
+
+def test_without_fork_a_batch_runs_serially(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    batch = _run_tasks(lambda rng, item: (os.getpid(), rng.key), rng_new(3), list(range(5)), 2)
+    assert list(batch) == [(os.getpid(), (3, i)) for i in range(5)]
+
+
+def test_closing_a_batch_early_leaves_no_child(deadline):
+    # the first chunk (item 0) is quick, every later item takes 20 s: the
+    # close kills the workers mid-item rather than waiting for them
+    def fn(rng, item):
+        if item > 0:
+            time.sleep(20)
+        return item
+
+    with deadline(10):
+        batch = _run_tasks(fn, rng_new(0), list(range(10)), 2)
+        assert next(batch) == 0
+        batch.close()
+    assert_no_child_left()
+
+
+def test_results_larger_than_a_pipe_come_back_whole_and_in_order(deadline):
+    # 1 MB results on both workers at once: each child blocks on its full pipe
+    # until the parent reads it, and no frame is cut or swapped
+    def fn(rng, item):
+        return bytes([item]) * (1 << 20) + rng.generator.bytes(16)
+
+    items = list(range(10))
+    with deadline(60):
+        pooled = list(_run_tasks(fn, rng_new(5), items, 2))
+    assert pooled == list(_run_tasks(fn, rng_new(5), items, 1))
+    assert [result[0] for result in pooled] == items
+    assert all(len(result) == (1 << 20) + 16 for result in pooled)
+    assert_no_child_left()
 
 
 def test_normal_degenerate_returns_mean_exactly():
