@@ -70,6 +70,7 @@ class Command(NamedTuple):
     run: Callable  # (arguments by name, config, threads) -> Report
     args: tuple[Arg, ...]
     reads: tuple[str, ...]  # the config keys ``run`` reads: the only ones flagged and hashed
+    batch: bool = False  # whether ``run`` fans a batch out, and so takes --threads
 
 
 def _number(kind: type, least: float | None = None) -> Callable:
@@ -122,8 +123,7 @@ def _read(arg: Arg, text) -> object:
 
 
 _THREADS = Arg("--threads", _COUNT, os.cpu_count() or 1, "threads",
-               help="worker processes for campaign batches and recip grid points "
-               "(output is independent of this)")
+               help="worker processes for the command's batch (output is independent of this)")
 
 
 def _add_argument(parser: argparse.ArgumentParser, arg: Arg) -> None:
@@ -141,7 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="FILE", help="flat key=value config file")
-    _add_argument(common, _THREADS)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
         p = sub.add_parser(name, parents=[common], help=command.help, allow_abbrev=False)
@@ -150,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
             if field.name in (*command.reads, "out_dir", "formats"):
                 flag = "--out" if field.name == "out_dir" else "--" + field.name.replace("_", "-")
                 p.add_argument(flag, dest=f"cfg_{field.name}", metavar="VALUE", help=field.help)
-        for arg in command.args:
+        for arg in command.args + (_THREADS,) * command.batch:
             _add_argument(p, arg)
     return parser
 
@@ -164,14 +163,14 @@ def _flag_values(args: argparse.Namespace) -> dict:
     return values
 
 
-def _spec(cls, command: str, values: Mapping, **extra):
-    """``cls(**values, **extra)``; a value it rejects is a ConfigError naming its flag.
+def _spec(cls, command: str, values: Mapping):
+    """``cls(**values)``; a value it rejects is a ConfigError naming its flag.
 
     The objects' messages start with the name of the field they reject, and
     ``command``'s declaration gives the field's flag.
     """
     try:
-        return cls(**values, **extra)
+        return cls(**values)
     except ValueError as exc:
         field = str(exc).split()[0]
         flags = {arg.name: arg.flag for arg in _COMMANDS[command].args}
@@ -315,8 +314,7 @@ def cmd_sweep_radius(args: Mapping, cfg: RunConfig, threads: int) -> Report:
 
 
 def cmd_grid(args: Mapping, cfg: RunConfig, threads: int) -> Report:
-    spec = _spec(SweepSpec, "grid", args, base_seed=cfg.seed)
-    cells = radius_budget_grid(spec, cfg.trial, workers=threads)
+    cells = radius_budget_grid(_spec(SweepSpec, "grid", args), cfg.trial, cfg.seed, threads)
     budget_range = _effect_range(cells, by_budget=True)
     radius_range = _effect_range(cells, by_budget=False)
     return Report(
@@ -406,10 +404,10 @@ _COMMANDS = {
     "campaign": Command("measure until the stopping rule selects a value", cmd_campaign,
                         (_MAX_MEASUREMENTS,), _CAMPAIGN_KEYS),
     "success": Command("success statistics over repeated campaigns", cmd_success, (
-        Arg("--campaigns", _COUNT, 500, "campaigns"), _MAX_MEASUREMENTS), _CAMPAIGN_KEYS),
+        Arg("--campaigns", _COUNT, 500, "campaigns"), _MAX_MEASUREMENTS), _CAMPAIGN_KEYS, True),
     "budget": Command("success fraction at a fixed measurement budget", cmd_budget, (
         Arg("--budget", _COUNT, None, "budget"),
-        Arg("--campaigns", _COUNT, 1000, "campaigns")), _TRIAL_KEYS),
+        Arg("--campaigns", _COUNT, 1000, "campaigns")), _TRIAL_KEYS, True),
     "ablate": Command("raw outcome distribution under an error ablation", cmd_ablate, (
         Arg("--mode", str, "all", "mode", choices=[m.value for m in AblationMode]),
         Arg("--trials", _COUNT, 10_000, "trials")),  # --mode sets both error toggles
@@ -418,13 +416,13 @@ _COMMANDS = {
         Arg("--radii", _list(_radius), (100.0, 150.0, 200.0, 250.0, 300.0, 350.0, 400.0,
                                         450.0, 500.0, 550.0, 600.0), "radii"),
         Arg("--trials-per-radius", _COUNT, 2000, "trials_per_radius")),  # first counts never round
-        keys_of("seed", "trial", less=("radius", "literal_rounding"))),
+        keys_of("seed", "trial", less=("radius", "literal_rounding")), True),
     "grid": Command("success fraction over a radius x budget grid", cmd_grid, (
         _field(SweepSpec, "--radii", _list(_FLOAT), "radii"),
         _field(SweepSpec, "--budgets", _list(_INT), "budgets"),
         _field(SweepSpec, "--campaigns-per-cell", _INT, "campaigns_per_cell"),
         _field(SweepSpec, "--cost-cap", _INT, "cost_cap")),
-        keys_of("seed", "trial", less=("radius",))),
+        keys_of("seed", "trial", less=("radius",)), True),
     "cf": Command("continued-fraction expansion and convergent", cmd_cf, (
         Arg("--value", str, None, "value",
             help="pi, pi/3 (doubles), or exact text like 111/106 or 2.75; the reported "
@@ -437,7 +435,7 @@ _COMMANDS = {
         _field(ReciprocalStudyConfig, "--den-mean", _FLOAT, "denominator_mean"),
         _field(ReciprocalStudyConfig, "--stdevs", _list(_FLOAT), "denominator_stdevs"),
         _field(ReciprocalStudyConfig, "--samples", _INT, "samples_per_point"),
-        _field(ReciprocalStudyConfig, "--bin-width", _FLOAT, "bin_width")), ("seed",)),
+        _field(ReciprocalStudyConfig, "--bin-width", _FLOAT, "bin_width")), ("seed",), True),
 }
 
 
@@ -447,7 +445,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         values = {arg.name: _read(arg, getattr(args, arg.flag[2:].replace("-", "_")))
                   for arg in command.args}
-        threads = _read(_THREADS, args.threads)
+        threads = _read(_THREADS, args.threads) if command.batch else 1
         file_values = load_config_file(args.config) if args.config else {}
         cfg = resolve(file_values, _flag_values(args), os.environ.get(ENV_OUT_DIR))
         _write_report(args.command, cfg, values, command.run(values, cfg, threads))

@@ -1,14 +1,13 @@
 """Batch experiments: success rates, budget curves, sweeps, and ablations.
 
 Every experiment is a pure function of its configuration and seed. Streams
-are addressed by path: campaign c of a batch runs on ``(seed, c)``, grid cell
-k on ``(seed, k)`` with its campaigns on ``(seed, k, c)``, radius i of a
-sweep on ``(seed, i)``, and each adds the index of its trial block. Each
-batch is one worker ``fn(rng, item)`` and one call of the package's one
-batch-worker helper, :func:`~sixradii.stochastics._run_tasks`, which
-derives child stream i of the batch root for item i, so a batch forked
-across processes gives the results of a serial run. Trials come from
-:func:`~sixradii.measurement.trial_blocks`, one block kernel call per block.
+are addressed by path: campaign c of a batch runs on ``(seed, c)``, campaign
+c of grid cell k on ``(seed, k, c)``, radius i of a sweep on ``(seed, i)``,
+and each adds the index of its trial block. Each batch is flat, one item per
+campaign or radius, and is one worker ``fn(rng, item)`` and one call of the
+package's one batch-worker helper, :func:`~sixradii.stochastics._run_tasks`,
+so a batch forked across processes gives the results of a serial run. The
+sweep and the ablation read one tally of :func:`~sixradii.measurement.trial_blocks`.
 
 numpy is imported by the functions that count trial outcomes, on their first
 call, so importing this module loads no numpy.
@@ -17,9 +16,11 @@ call, so importing this module loads no numpy.
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import NamedTuple, Sequence
+from itertools import islice
+from typing import Iterable, NamedTuple, Sequence
 
 from .config import ErrorModel, StoppingCriteria, TrialConfig
 from .histogram import CampaignResult, run_campaign
@@ -56,7 +57,6 @@ class SweepSpec:
     radii: tuple[float, ...] = (200.0, 300.0, 450.0, 600.0, 900.0)
     budgets: tuple[int, ...] = (25, 50, 100, 200, 325, 500)
     campaigns_per_cell: int = 100
-    base_seed: int = 0
     cost_cap: int = 100_000
 
     def __post_init__(self) -> None:
@@ -119,16 +119,19 @@ def run_campaign_batch(
     return list(_run_tasks(_campaign_worker, root, items, workers))
 
 
-def summarize_success(outcomes: Sequence[CampaignResult]) -> SuccessStats:
-    """Success = selected value 5; no-decision campaigns count as failures."""
-    n = len(outcomes)
-    successes = sum(1 for o in outcomes if o.selected == 5)
-    stopped = [o.measurements for o in outcomes if o.selected is not None]
+def summarize_success(outcomes: Iterable[CampaignResult]) -> SuccessStats:
+    """Success = selected value 5; no-decision campaigns count as failures. One
+    pass, so a caller can fold campaigns as they arrive without holding them."""
+    n = successes = stopped = measured = 0
+    for n, o in enumerate(outcomes, 1):
+        if o.selected is not None:
+            successes += o.selected == 5
+            stopped += 1
+            measured += o.measurements
     fraction = successes / n
-    mean_measurements = sum(stopped) / len(stopped) if stopped else None
-    no_decision = sum(1 for o in outcomes if o.selected is None) / n
+    mean_measurements = measured / stopped if stopped else None
     half_width = 1.96 * math.sqrt(fraction * (1.0 - fraction) / n)
-    return SuccessStats(fraction, mean_measurements, no_decision, half_width, n)
+    return SuccessStats(fraction, mean_measurements, (n - stopped) / n, half_width, n)
 
 
 def fixed_budget_success(
@@ -143,6 +146,15 @@ def fixed_budget_success(
     return summarize_success(run_campaign_batch(cfg, None, n_campaigns, seed, budget, workers))
 
 
+def _trial_tally(rng: RngState, item: tuple):
+    """How many kept trials of ``(cfg, n_trials)`` read each second count 0..WINDOW_HI + 1."""
+    import numpy as np
+
+    cfg, n_trials = item
+    return sum(np.bincount(block.second[block.kept], minlength=WINDOW_HI + 2)
+               for block in trial_blocks(rng, cfg, n_trials))
+
+
 def ablation_distribution(
     cfg: TrialConfig, mode: AblationMode, n_trials: int, seed: int
 ) -> dict[int, float]:
@@ -152,24 +164,12 @@ def ablation_distribution(
     setup piles all mass into one bin, which the stopping rule can never
     accept, so ablation answers are read from the trial outcomes directly.
     """
-    import numpy as np
-
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     ablated = replace(cfg, error_model=apply_ablation(cfg.error_model, mode))
-    counts = sum(np.bincount(block.second[block.kept], minlength=WINDOW_HI + 2)
-                 for block in trial_blocks(rng_new(seed), ablated, n_trials))
+    counts = _trial_tally(rng_new(seed), (ablated, n_trials))
     kept = int(counts.sum())
     return {q: int(c) / kept for q, c in enumerate(counts) if c}
-
-
-def _radius_sweep_worker(rng: RngState, item: tuple) -> RadiusSweepPoint:
-    import numpy as np
-
-    radius, trials, cfg = item
-    blocks = trial_blocks(rng, replace(cfg, radius=radius), trials)
-    hits = sum(int(np.count_nonzero(block.kept)) for block in blocks)
-    return RadiusSweepPoint(radius, hits / trials)
 
 
 def radius_first_iteration_sweep(
@@ -184,34 +184,29 @@ def radius_first_iteration_sweep(
         raise ValueError("radii must be non-empty")
     if trials_per_radius < 1:
         raise ValueError("trials_per_radius must be >= 1")
-    items = [(float(radius), trials_per_radius, cfg_template) for radius in radii]
-    return list(_run_tasks(_radius_sweep_worker, rng_new(seed), items, workers))
-
-
-def _grid_cell_worker(rng: RngState, item: tuple) -> GridCell:
-    radius, budget, campaigns, cfg = item
-    cfg_cell = replace(cfg, radius=radius)
-    stats = fixed_budget_success(cfg_cell, budget, campaigns, rng)
-    return GridCell(radius, budget, stats.success_fraction)
+    items = [(replace(cfg_template, radius=float(r)), trials_per_radius) for r in radii]
+    tallies = list(_run_tasks(_trial_tally, rng_new(seed), items, workers))
+    return [RadiusSweepPoint(cfg.radius, int(counts.sum()) / trials_per_radius)
+            for (cfg, _), counts in zip(items, tallies)]
 
 
 def radius_budget_grid(
-    spec: SweepSpec, cfg_template: TrialConfig = TrialConfig(), workers: int = 1
+    spec: SweepSpec, cfg_template: TrialConfig = TrialConfig(), seed: int = 0, workers: int = 1
 ) -> list[GridCell]:
     """Fixed-budget success fraction per (radius, budget) cell.
 
-    Cell k runs :func:`fixed_budget_success` on stream ``(base_seed, k)``, so
-    a single-cell grid reduces to that call exactly. Raises
-    :class:`CostCapError` if cells x campaigns exceeds the cap.
+    One batch of every (cell k, campaign c) on stream ``(seed, k, c)``, so a
+    single-cell grid is :func:`fixed_budget_success` on ``(seed, 0)``. Each
+    cell's campaigns go through :func:`summarize_success` as they arrive.
+    Raises :class:`CostCapError` if cells x campaigns exceeds the cap.
     """
-    cells = [(r, b) for r in spec.radii for b in spec.budgets]
-    if len(cells) * spec.campaigns_per_cell > spec.cost_cap:
-        raise CostCapError(
-            f"{len(cells)} cells x {spec.campaigns_per_cell} campaigns exceeds "
-            f"cost cap {spec.cost_cap}"
-        )
-    items = [
-        (float(radius), int(budget), spec.campaigns_per_cell, cfg_template)
-        for radius, budget in cells
-    ]
-    return list(_run_tasks(_grid_cell_worker, rng_new(spec.base_seed), items, workers))
+    cells = [(float(r), int(b)) for r in spec.radii for b in spec.budgets]
+    n = spec.campaigns_per_cell
+    if len(cells) * n > spec.cost_cap:
+        raise CostCapError(f"{len(cells)} cells x {n} campaigns exceeds cost cap {spec.cost_cap}")
+    setups = {r: replace(cfg_template, radius=r) for r in map(float, spec.radii)}
+    items = [item for r, b in cells for item in [(setups[r], None, b)] * n]  # one tuple per cell
+    paths = [(k, c) for k in range(len(cells)) for c in range(n)]
+    with closing(_run_tasks(_campaign_worker, rng_new(seed), items, workers, paths)) as results:
+        return [GridCell(*cell, summarize_success(islice(results, n)).success_fraction)
+                for cell in cells]

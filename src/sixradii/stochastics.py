@@ -158,6 +158,10 @@ class ReciprocalPoint(NamedTuple):
     central_mean: float | None
 
 
+class _RemoteTraceback(Exception):
+    """A batch worker's formatted traceback, the cause of the exception it raised."""
+
+
 def _run_tasks(fn: Callable, root: RngState, items: list, workers: int,
                paths: list[tuple[int, ...]] | None = None) -> Iterator:
     """Yield ``fn(stream, item)`` for each item, in item order.
@@ -170,10 +174,11 @@ def _run_tasks(fn: Callable, root: RngState, items: list, workers: int,
     caller that folds them holds few at once. Items go in about four chunks
     per worker, to even out items of uneven cost: a child takes chunk
     numbers from one pre-filled task pipe and sends on its own pipe a frame
-    for each, an 8-byte length and the pickled ``(chunk, results or
-    exception)``. The parent reads whole frames from whichever child is
-    ready and raises an exception in its chunk's turn; however the batch
-    ends, it kills the children still running and reaps them all.
+    for each, an 8-byte length and the pickled ``(chunk, results)`` or
+    ``(chunk, (exception, traceback text))``. The parent reads whole frames
+    from whichever child is ready and raises an exception in its chunk's
+    turn, from its traceback; however the batch ends, it kills the children
+    still running and reaps them all.
     """
     if paths is None:
         streams = [derive_child(root, i) for i in range(len(items))]
@@ -201,7 +206,8 @@ def _run_tasks(fn: Callable, root: RngState, items: list, workers: int,
                 try:
                     frame = pickle.dumps((k, list(map(fn, *chunks[k]))), -1)
                 except Exception as exc:
-                    frame = pickle.dumps((k, exc), -1)
+                    import traceback
+                    frame = pickle.dumps((k, (exc, traceback.format_exc())), -1)
                 for view in map(memoryview, (len(frame).to_bytes(8, "little"), frame)):
                     while view:
                         view = view[os.write(out, view):]
@@ -236,8 +242,8 @@ def _run_tasks(fn: Callable, root: RngState, items: list, workers: int,
                         poller.unregister(fd)
                         os.waitpid(readers.pop(fd), 0)
                         os.close(fd)
-            if isinstance(value := done.pop(k), BaseException):
-                raise value
+            if isinstance(value := done.pop(k), tuple):  # the exception and its traceback
+                raise value[0] from _RemoteTraceback(value[1])
             value.reverse()  # popped as yielded, so that a caller's fold frees each
             while value:
                 yield value.pop()

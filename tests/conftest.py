@@ -1,4 +1,5 @@
 import contextlib
+import os
 import signal
 
 import pytest
@@ -23,3 +24,11 @@ def _deadline(seconds):
 def deadline():
     """``with deadline(seconds):`` fails the test if the block outlives it."""
     return _deadline
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail any test that leaves a child process behind, such as a forked batch worker."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

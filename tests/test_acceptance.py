@@ -163,8 +163,7 @@ def test_c08_reciprocal_study_at_1e8():
 
 
 def test_c09_budget_effect_exceeds_radius_effect():
-    spec = SweepSpec(campaigns_per_cell=200, base_seed=88)
-    cells = radius_budget_grid(spec, TrialConfig(), workers=4)
+    cells = radius_budget_grid(SweepSpec(campaigns_per_cell=200), TrialConfig(), 88, workers=4)
     radii = sorted({c.radius for c in cells})
     budgets = sorted({c.budget for c in cells})
     value = {(c.radius, c.budget): c.success_fraction for c in cells}

@@ -321,7 +321,8 @@ def test_a_key_is_read_and_hashed_or_refused_and_ignored(command, tmp_path, caps
     # no config key is accepted, hashed into the provenance and then ignored
     def report(*extra):
         out_dir = tmp_path / f"run{len(list(tmp_path.iterdir()))}"
-        code, _, _ = run(capsys, command, *_TINY[command], *extra, "--threads", "1",
+        threads = ["--threads", "1"] if cli._COMMANDS[command].batch else []
+        code, _, _ = run(capsys, command, *_TINY[command], *extra, *threads,
                          "--formats", "json", "--out", str(out_dir))
         assert code == 0
         return (out_dir / f"{command.replace('-', '_')}.json").read_text()
@@ -362,6 +363,18 @@ def test_readme_lists_the_keys_each_command_reads():
             listed[command] = (named - set(re.findall(r"`(\w+)`", less)), int(count))
     assert listed == {name: (set(command.reads), len(command.reads))
                       for name, command in cli._COMMANDS.items()}
+
+
+def test_threads_is_offered_only_where_a_batch_runs(tmp_path, capsys):
+    batch = {name for name, command in cli._COMMANDS.items() if command.batch}
+    assert batch == {"success", "budget", "sweep-radius", "grid", "recip"}
+    for command in ("trial", "campaign", "ablate", "cf"):
+        out_dir = tmp_path / command
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, *_TINY.get(command, []), "--threads", "2", "--out", str(out_dir)])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 def test_unknown_ablation_mode_exits_two(tmp_path, capsys):

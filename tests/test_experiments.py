@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -6,6 +7,7 @@ from sixradii.config import ErrorModel, StoppingCriteria, TrialConfig
 from sixradii.experiments import (
     AblationMode,
     CostCapError,
+    GridCell,
     SweepSpec,
     ablation_distribution,
     apply_ablation,
@@ -16,7 +18,7 @@ from sixradii.experiments import (
     summarize_success,
 )
 from sixradii.histogram import run_campaign
-from sixradii.stochastics import derive_child, rng_new
+from sixradii.stochastics import RngState, derive_child, rng_new
 
 
 def test_ablation_mode_parsing():
@@ -76,19 +78,28 @@ def test_fixed_budget_batch_parallel_matches_serial():
 
 
 def test_chunked_batches_match_serial():
-    # 41 campaigns go out in chunks of 5 at two workers and of 3 at three, and
-    # 18 grid cells in chunks of 2: every chunk must keep its items' batch
-    # indices and come back in order
+    # 41 campaigns go out in chunks of 5 at two workers and of 3 at three:
+    # every chunk must keep its items' batch indices and come back in order
     serial = run_campaign_batch(TrialConfig(), None, 41, 5, 20, workers=1)
     assert len({(o.selected, o.discarded) for o in serial}) > 1
     for workers in (2, 3):
         assert run_campaign_batch(TrialConfig(), None, 41, 5, 20, workers=workers) == serial
-    spec = SweepSpec(radii=(200.0, 450.0, 900.0), budgets=(1, 2, 3, 5, 8, 13),
-                     campaigns_per_cell=4, base_seed=3)
-    cells = radius_budget_grid(spec, workers=1)
-    assert len(cells) == 18
+
+
+def test_grid_cells_run_on_their_own_streams_across_chunks():
+    # 6 cells x 7 campaigns are 42 items, in chunks of 5 at two workers and of 3
+    # at three, so chunks straddle cells; campaign c of cell k runs on (seed, k, c)
+    spec = SweepSpec(radii=(200.0, 450.0, 900.0), budgets=(3, 8), campaigns_per_cell=7)
+    cells = radius_budget_grid(spec, TrialConfig(), 3, workers=1)
+    expected = []
+    for k, (radius, budget) in enumerate((r, b) for r in spec.radii for b in spec.budgets):
+        cfg = replace(TrialConfig(), radius=radius)
+        outcomes = [run_campaign(RngState(3, (k, c)), cfg, None, budget) for c in range(7)]
+        expected.append(GridCell(radius, budget, summarize_success(outcomes).success_fraction))
+    assert cells == expected
     assert len({c.success_fraction for c in cells}) > 1
-    assert radius_budget_grid(spec, workers=2) == cells
+    for workers in (2, 3):
+        assert radius_budget_grid(spec, TrialConfig(), 3, workers=workers) == cells
 
 
 def test_summarize_success_counts_no_decision_as_failure():
@@ -137,9 +148,9 @@ def test_sweep_validation():
 
 
 def test_grid_single_cell_reduces_to_fixed_budget():
-    # cell k runs its campaigns on the streams (base_seed, k, c)
-    spec = SweepSpec(radii=(450.0,), budgets=(30,), campaigns_per_cell=12, base_seed=9)
-    (cell,) = radius_budget_grid(spec, TrialConfig())
+    # cell k runs its campaigns on the streams (seed, k, c)
+    spec = SweepSpec(radii=(450.0,), budgets=(30,), campaigns_per_cell=12)
+    (cell,) = radius_budget_grid(spec, TrialConfig(), 9)
     direct = fixed_budget_success(TrialConfig(), 30, 12, derive_child(rng_new(9), 0))
     assert cell.success_fraction == direct.success_fraction
 
@@ -151,8 +162,9 @@ def test_grid_cost_cap():
 
 
 def test_grid_deterministic_across_workers():
-    spec = SweepSpec(radii=(300.0, 450.0), budgets=(10, 25), campaigns_per_cell=6, base_seed=2)
-    assert radius_budget_grid(spec, workers=1) == radius_budget_grid(spec, workers=2)
+    spec = SweepSpec(radii=(300.0, 450.0), budgets=(10, 25), campaigns_per_cell=6)
+    serial = radius_budget_grid(spec, seed=2, workers=1)
+    assert radius_budget_grid(spec, seed=2, workers=2) == serial
 
 
 def test_sweep_spec_validation():

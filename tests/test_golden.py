@@ -96,10 +96,14 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+# the commands that fan out over worker processes, the only ones that take --threads
+_BATCH = ["budget", "grid", "recip", "success", "sweep-radius"]
+
+
 def report_digests(argv, out_dir, capsys, threads=1) -> dict:
     """SHA-256 of each pinned part of one command's output, keyed by part name."""
-    code = main([*argv, "--threads", str(threads), "--formats", "csv,json,svg",
-                 "--out", str(out_dir)])
+    threads_flag = ["--threads", str(threads)] if argv[0] in _BATCH else []
+    code = main([*argv, *threads_flag, "--formats", "csv,json,svg", "--out", str(out_dir)])
     stdout = capsys.readouterr().out
     assert code == 0
     digests = {"stdout": _sha(stdout.encode("utf-8"))}
@@ -117,6 +121,6 @@ def test_report_bytes_match_golden(case, tmp_path, capsys):
     assert report_digests(_CASES[case], tmp_path, capsys) == _GOLDEN[case]
 
 
-@pytest.mark.parametrize("case", ["budget", "grid", "recip", "success", "sweep-radius"])
+@pytest.mark.parametrize("case", _BATCH)
 def test_report_bytes_independent_of_threads(case, tmp_path, capsys):
     assert report_digests(_CASES[case], tmp_path, capsys, threads=2) == _GOLDEN[case]
