@@ -2,12 +2,13 @@
 
 Every experiment is a pure function of its configuration and seed. Streams
 are addressed by path: campaign c of a batch runs on ``(seed, c)``, campaign
-c of grid cell k on ``(seed, k, c)``, radius i of a sweep on ``(seed, i)``,
-and each adds the index of its trial block. Each batch is flat, one item per
-campaign or radius, and is one worker ``fn(rng, item)`` and one call of the
-package's one batch-worker helper, :func:`~sixradii.stochastics._run_tasks`,
-so a batch forked across processes gives the results of a serial run. The
-sweep and the ablation read one tally of :func:`~sixradii.measurement.trial_blocks`.
+c of grid row i (radius i, every budget) on ``(seed, i, c)``, radius i of a
+sweep on ``(seed, i)``, and each adds the index of its trial block. Each
+batch is flat, one item per campaign or radius, and is one worker
+``fn(rng, item)`` and one call of the package's one batch-worker helper,
+:func:`~sixradii.stochastics._run_tasks`, so a batch forked across processes
+gives the results of a serial run. The sweep and the ablation read one tally
+of :func:`~sixradii.measurement.trial_blocks`.
 
 numpy is imported by the functions that count trial outcomes, on their first
 call, so importing this module loads no numpy.
@@ -190,23 +191,38 @@ def radius_first_iteration_sweep(
             for (cfg, _), counts in zip(items, tallies)]
 
 
+def _grid_row_worker(rng: RngState, item: tuple) -> tuple[int | None, ...]:
+    """One campaign of a grid row, run to the row's largest budget: its peak bin at each budget."""
+    cfg, budgets = item
+    return run_campaign(rng, cfg, None, max(budgets), budgets).peaks
+
+
 def radius_budget_grid(
     spec: SweepSpec, cfg_template: TrialConfig = TrialConfig(), seed: int = 0, workers: int = 1
 ) -> list[GridCell]:
     """Fixed-budget success fraction per (radius, budget) cell.
 
-    One batch of every (cell k, campaign c) on stream ``(seed, k, c)``, so a
-    single-cell grid is :func:`fixed_budget_success` on ``(seed, 0)``. Each
-    cell's campaigns go through :func:`summarize_success` as they arrive.
-    Raises :class:`CostCapError` if cells x campaigns exceeds the cap.
+    One batch of every (radius i, campaign c) on stream ``(seed, i, c)``, each
+    run to the largest budget, and budget b's answer is the peak bin of the
+    campaign's first b measurements. A fixed-budget campaign is a prefix of a
+    longer one, so cell (i, b) is :func:`fixed_budget_success` on ``(seed, i)``,
+    and a row's budgets compare on common random numbers. Each row is folded
+    into one cell per budget as its campaigns arrive. Raises
+    :class:`CostCapError` if cells x campaigns exceeds the cap.
     """
-    cells = [(float(r), int(b)) for r in spec.radii for b in spec.budgets]
+    radii = [float(r) for r in spec.radii]
+    budgets = [int(b) for b in spec.budgets]
     n = spec.campaigns_per_cell
-    if len(cells) * n > spec.cost_cap:
-        raise CostCapError(f"{len(cells)} cells x {n} campaigns exceeds cost cap {spec.cost_cap}")
-    setups = {r: replace(cfg_template, radius=r) for r in map(float, spec.radii)}
-    items = [item for r, b in cells for item in [(setups[r], None, b)] * n]  # one tuple per cell
-    paths = [(k, c) for k in range(len(cells)) for c in range(n)]
-    with closing(_run_tasks(_campaign_worker, rng_new(seed), items, workers, paths)) as results:
-        return [GridCell(*cell, summarize_success(islice(results, n)).success_fraction)
-                for cell in cells]
+    if len(radii) * len(budgets) * n > spec.cost_cap:
+        raise CostCapError(f"{len(radii) * len(budgets)} cells x {n} campaigns "
+                           f"exceeds cost cap {spec.cost_cap}")
+    items = [item for r in radii for item in [(replace(cfg_template, radius=r), budgets)] * n]
+    cells = []  # item j is campaign j % n of row j // n
+    batch = _run_tasks(_grid_row_worker, rng_new(seed), items, workers, lambda j: divmod(j, n))
+    with closing(batch) as results:
+        for r in radii:
+            wins = [0] * len(budgets)
+            for peaks in islice(results, n):
+                wins = [w + (p == 5) for w, p in zip(wins, peaks)]
+            cells += [GridCell(r, b, w / n) for b, w in zip(budgets, wins)]
+    return cells

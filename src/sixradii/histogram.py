@@ -17,7 +17,7 @@ importing this module loads no numpy.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, ClassVar
+from typing import TYPE_CHECKING, ClassVar, Sequence
 
 from .config import StoppingCriteria, TrialConfig
 from .measurement import BLOCK_TRIALS, WINDOW_HI, DegenerateConfigError, trial_blocks
@@ -138,7 +138,8 @@ class CampaignResult:
     With a stopping rule, None means the measurement budget ran out before
     the rule was satisfied (a no-decision outcome, not an error). A
     fixed-budget campaign (no rule) selects its peak bin once the budget is
-    spent, and None only when no measurement fell in the window.
+    spent, and None only when no measurement fell in the window. ``peaks``
+    holds the same selection at each budget a fixed-budget campaign was asked for.
     """
 
     selected: int | None
@@ -146,6 +147,12 @@ class CampaignResult:
     discarded: int
     histogram: Histogram
     stream_key: tuple[int, ...]
+    peaks: tuple[int | None, ...] = ()
+
+
+def _selection(hist: Histogram) -> int | None:
+    """The histogram's peak bin, or None when no measurement fell in the window."""
+    return hist.peak_bin() if any(hist.counts) else None
 
 
 def run_campaign(
@@ -153,6 +160,7 @@ def run_campaign(
     cfg: TrialConfig,
     criteria: StoppingCriteria | None,
     max_measurements: int = 10_000,
+    budgets: Sequence[int] = (),
 ) -> CampaignResult:
     """Measure repeatedly until the stopping rule, or the budget, selects a peak.
 
@@ -165,15 +173,21 @@ def run_campaign(
 
     ``criteria=None`` runs a fixed-budget campaign: it records exactly
     ``max_measurements`` and then selects the histogram's peak bin, or None
-    when the window is empty.
+    when the window is empty. As its recorded count passes each b of
+    ``budgets`` (each at most ``max_measurements``), it selects the peak bin
+    of its first b measurements into ``peaks``, in the order given: what a
+    campaign of budget b on the same stream selects.
     """
     import numpy as np
 
     if max_measurements < 1:
         raise ValueError("max_measurements must be >= 1")
+    if budgets and (criteria is not None or not all(1 <= b <= max_measurements for b in budgets)):
+        raise ValueError("budgets need criteria=None and each in 1..max_measurements")
     hist = Histogram()
     recorded = trials = 0
     stop = None
+    peaks = {}  # budget -> selection
     blocks = trial_blocks(rng, cfg)
     while recorded < max_measurements and stop is None:
         if trials >= _CAMPAIGN_TRIAL_LIMIT:
@@ -187,11 +201,18 @@ def run_campaign(
         stop = stopping_prefix(hist, values, criteria) if criteria is not None else None
         if stop is not None:
             kept, values = kept[: stop + 1], values[: stop + 1]
-        hist.record_all(values)
+        # record the block in pieces that end at the budgets it reaches, selecting at each
+        start = 0
+        for end in sorted({b - recorded for b in budgets if recorded < b <= recorded + len(values)}):
+            hist.record_all(values[start:end])
+            peaks[recorded + end] = _selection(hist)
+            start = end
+        if start < len(values):
+            hist.record_all(values[start:])
         recorded += len(values)
         # a campaign that ends in this block ends at its last recorded trial
         trials += int(kept[-1]) + 1 if recorded == max_measurements or stop is not None else BLOCK_TRIALS
     # the rule passed or the fixed budget is spent; an empty window selects nothing
-    decided = (stop is not None or criteria is None) and any(hist.counts)
-    return CampaignResult(hist.peak_bin() if decided else None, recorded, trials - recorded,
-                          hist, rng.key)
+    selected = _selection(hist) if stop is not None or criteria is None else None
+    return CampaignResult(selected, recorded, trials - recorded, hist, rng.key,
+                          tuple(peaks[b] for b in budgets))

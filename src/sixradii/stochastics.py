@@ -11,12 +11,13 @@ bottom of the import graph, so that both the ratio study below and the batch
 experiments in :mod:`sixradii.experiments` fan out through it. A batch is a
 root stream and a list of items, and item i runs on child stream i of the
 root (or on the path below the root that the caller gives it), whichever
-process runs it. The helper derives the streams, and its forked workers
-inherit them (a state builds its numpy generator on its first draw) and
-send results back as pickled frames; without ``os.fork`` a batch runs
-serially. Items may share a stream: every grid point of the ratio study
-draws its chunk c from the same stream, so the points compare on common
-random numbers and a chunk's draws are made once for a whole group of points.
+process runs it. Each item's stream is built where the item runs, in a
+forked worker or on the serial path, so a batch holds no stream per item
+before its work starts; forked workers send their results back as pickled
+frames, and without ``os.fork`` a batch runs serially. Items may share a
+stream: every grid point of the ratio study draws its chunk c from the same
+stream, so the points compare on common random numbers and a chunk's draws
+are made once for a whole group of points.
 
 numpy is imported by the functions that draw or count, on their first call,
 so importing this module loads no numpy.
@@ -163,29 +164,28 @@ class _RemoteTraceback(Exception):
 
 
 def _run_tasks(fn: Callable, root: RngState, items: list, workers: int,
-               paths: list[tuple[int, ...]] | None = None) -> Iterator:
+               path: Callable[[int], tuple[int, ...]] | None = None) -> Iterator:
     """Yield ``fn(stream, item)`` for each item, in item order.
 
     The one batch-worker helper of the package: every batch goes through it,
     on up to ``workers`` forked processes (serially where there is no
-    ``os.fork``). Item i runs on the stream at ``paths[i]`` below ``root``, by
-    default ``(i,)``: child stream i. Results come back in item order, so a
-    batch gives the same results at any worker count, and lazily, so a
-    caller that folds them holds few at once. Items go in about four chunks
-    per worker, to even out items of uneven cost: a child takes chunk
-    numbers from one pre-filled task pipe and sends on its own pipe a frame
-    for each, an 8-byte length and the pickled ``(chunk, results)`` or
-    ``(chunk, (exception, traceback text))``. The parent reads whole frames
-    from whichever child is ready and raises an exception in its chunk's
-    turn, from its traceback; however the batch ends, it kills the children
-    still running and reaps them all.
+    ``os.fork``). Item i runs on the stream at ``path(i)`` below ``root``, by
+    default ``(i,)``: child stream i, built where the item runs. Results come
+    back in item order, so a batch gives the same results at any worker
+    count, and lazily, so a caller that folds them holds few at once. Items
+    go in about four chunks per worker, to even out items of uneven cost: a
+    child takes chunk numbers from one pre-filled task pipe and sends on its
+    own pipe a frame for each, an 8-byte length and the pickled ``(chunk,
+    results)`` or ``(chunk, (exception, traceback text))``. The parent reads
+    whole frames from whichever child is ready and raises an exception in its
+    chunk's turn, from its traceback; however the batch ends, it kills the
+    children still running and reaps them all.
     """
-    if paths is None:
-        streams = [derive_child(root, i) for i in range(len(items))]
-    else:
-        streams = [RngState(root.seed, root.path + tuple(path)) for path in paths]
+    def run(i: int):  # item i on its stream
+        return fn(RngState(root.seed, root.path + (path(i) if path else (i,))), items[i])
+
     if workers <= 1 or len(items) <= 1 or not hasattr(os, "fork"):
-        yield from map(fn, streams, items)
+        yield from map(run, range(len(items)))
         return
     import pickle  # these here, so that importing the package loads neither
     import select
@@ -194,7 +194,7 @@ def _run_tasks(fn: Callable, root: RngState, items: list, workers: int,
 
     # at most PIPE_BUF // 4 chunks, so that the task pipe takes every 4-byte record
     size = max(1, len(items) // (4 * workers), math.ceil(len(items) / (select.PIPE_BUF // 4)))
-    chunks = [(streams[i:i + size], items[i:i + size]) for i in range(0, len(items), size)]
+    chunks = [range(i, min(i + size, len(items))) for i in range(0, len(items), size)]
     task_r, task_w = os.pipe()
     os.write(task_w, b"".join(k.to_bytes(4, "little") for k in range(len(chunks))))
     os.close(task_w)
@@ -204,7 +204,7 @@ def _run_tasks(fn: Callable, root: RngState, items: list, workers: int,
             while record := os.read(task_r, 4):
                 k = int.from_bytes(record, "little")
                 try:
-                    frame = pickle.dumps((k, list(map(fn, *chunks[k]))), -1)
+                    frame = pickle.dumps((k, list(map(run, chunks[k]))), -1)
                 except Exception as exc:
                     import traceback
                     frame = pickle.dumps((k, (exc, traceback.format_exc())), -1)
@@ -396,14 +396,14 @@ def reciprocal_peak_curve(
     chunks = [min(_STUDY_CHUNK, cfg.samples_per_point - start)
               for start in range(0, cfg.samples_per_point, _STUDY_CHUNK)]
     items = [(cfg, group, n) for group in groups for n in chunks]
-    paths = [(c,) for _ in groups for c in range(len(chunks))]
     points = []
     c = 0  # the chunk's index in its group: a counter, as enumerate's reused
     # pair would keep the last chunk's result alive while the next is drawn.
     # A group's histograms go when the next group's replace them: deleting
     # them first left the peak RSS of a 4,000,001-bin grid 8-11 MB higher
     # (the allocator then reused freed memory rather than fresh zero pages).
-    for chunk_points in _run_tasks(_recip_chunk_worker, rng, items, workers, paths):
+    for chunk_points in _run_tasks(_recip_chunk_worker, rng, items, workers,
+                                   lambda j: (j % len(chunks),)):
         if c == 0:
             counts = [np.zeros(2 * half_bins + 1, dtype=np.int32) for _ in chunk_points]
             in_window, deviation_sums = [0] * len(chunk_points), [0.0] * len(chunk_points)

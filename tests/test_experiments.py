@@ -87,19 +87,23 @@ def test_chunked_batches_match_serial():
 
 
 def test_grid_cells_run_on_their_own_streams_across_chunks():
-    # 6 cells x 7 campaigns are 42 items, in chunks of 5 at two workers and of 3
-    # at three, so chunks straddle cells; campaign c of cell k runs on (seed, k, c)
-    spec = SweepSpec(radii=(200.0, 450.0, 900.0), budgets=(3, 8), campaigns_per_cell=7)
-    cells = radius_budget_grid(spec, TrialConfig(), 3, workers=1)
-    expected = []
-    for k, (radius, budget) in enumerate((r, b) for r in spec.radii for b in spec.budgets):
-        cfg = replace(TrialConfig(), radius=radius)
-        outcomes = [run_campaign(RngState(3, (k, c)), cfg, None, budget) for c in range(7)]
-        expected.append(GridCell(radius, budget, summarize_success(outcomes).success_fraction))
-    assert cells == expected
-    assert len({c.success_fraction for c in cells}) > 1
-    for workers in (2, 3):
-        assert radius_budget_grid(spec, TrialConfig(), 3, workers=workers) == cells
+    # 3 radii x 11 campaigns are 33 items, in chunks of 4 at two workers and of 2
+    # at three, so chunks straddle rows; campaign c of row i runs on (seed, i, c)
+    # to the row's largest budget, and cell (i, b) is the fixed-budget success
+    # of b measurements on (seed, i), whatever the order or repetition of budgets
+    for budgets in ((3, 8), (100, 3, 100, 8)):
+        spec = SweepSpec(radii=(200.0, 450.0, 900.0), budgets=budgets, campaigns_per_cell=11)
+        cells = radius_budget_grid(spec, TrialConfig(), 3, workers=1)
+        expected = [
+            GridCell(radius, budget, fixed_budget_success(
+                replace(TrialConfig(), radius=radius), budget, 11, RngState(3, (i,))
+            ).success_fraction)
+            for i, radius in enumerate(spec.radii) for budget in budgets
+        ]
+        assert cells == expected
+        assert len({c.success_fraction for c in cells}) > 1
+        for workers in (2, 3):
+            assert radius_budget_grid(spec, TrialConfig(), 3, workers=workers) == cells
 
 
 def test_summarize_success_counts_no_decision_as_failure():
@@ -148,7 +152,7 @@ def test_sweep_validation():
 
 
 def test_grid_single_cell_reduces_to_fixed_budget():
-    # cell k runs its campaigns on the streams (seed, k, c)
+    # row i runs its campaigns on the streams (seed, i, c)
     spec = SweepSpec(radii=(450.0,), budgets=(30,), campaigns_per_cell=12)
     (cell,) = radius_budget_grid(spec, TrialConfig(), 9)
     direct = fixed_budget_success(TrialConfig(), 30, 12, derive_child(rng_new(9), 0))

@@ -66,8 +66,8 @@ _GOLDEN = {
         "stdout": "70d5cff46b55e0b3b7ed039e8d8b28bab14200abfa2611d30797b42dad4da9f1",
     },
     "grid": {
-        "grid.csv": "65ee963debee1c7cb7011660650553e88f34dfbb7fdee2bc7e91b87f2adee80f",
-        "grid.json": "d79000365ac9532a508699a1f85001ea0f7a6f84beb8125a034f1db2a5088a6b",
+        "grid.csv": "f0e33c67606ddfe4c115fe92305f6feea5f1af32b56e8297566fc1ed6d86261e",
+        "grid.json": "f14aa92febec0062c784b29a3f318c2a9d148786ff6a31a01be78aef465578d3",
         "stdout": "b0a7f575d56cc0d330568199c8624987235e6b6e261bf2a7c3defc13df480dff",
     },
     "recip": {

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -299,3 +301,53 @@ def test_campaign_that_never_keeps_a_trial_hits_the_trial_limit(monkeypatch):
     cfg = TrialConfig(error_model=ErrorModel(cut_elongation=10.0))
     with pytest.raises(DegenerateConfigError, match="trial limit"):
         run_campaign(rng_new(0), cfg, StoppingCriteria(), 10)
+
+
+# Setups for the multi-budget selection: the default errors at three radii,
+# the random-only ablation, and fixed errors whose 0.3 mm bevels leave so
+# short a leftover piece that every kept trial reads 17, past the window.
+_SELECTION_SETUPS = [
+    *(TrialConfig(radius=r) for r in (200.0, 450.0, 900.0)),
+    *(TrialConfig(radius=r, error_model=ErrorModel(fixed_errors_enabled=False))
+      for r in (200.0, 450.0)),
+    TrialConfig(error_model=ErrorModel(cut_elongation=0.3, random_errors_enabled=False)),
+]
+_EMPTY_WINDOW = _SELECTION_SETUPS[-1]
+
+
+@given(seed=st.integers(0, 2**32), cfg=st.sampled_from(_SELECTION_SETUPS),
+       budgets=st.lists(st.integers(1, 600), min_size=1, max_size=5))
+@example(seed=4, cfg=_SELECTION_SETUPS[1], budgets=[256, 1, 257, 255, 600, 256])
+@example(seed=4, cfg=_EMPTY_WINDOW, budgets=[300, 1, 300])
+@settings(max_examples=40, deadline=None)
+def test_multi_budget_selection_matches_one_budget_campaigns(seed, cfg, budgets):
+    # one campaign run to the largest budget selects at each budget b what a
+    # campaign of budget b on the same stream selects, and is itself unchanged
+    shared = run_campaign(rng_new(seed), cfg, None, max(budgets), budgets)
+    assert len(shared.peaks) == len(budgets)
+    assert replace(shared, peaks=()) == run_campaign(rng_new(seed), cfg, None, max(budgets))
+    for budget, peak in zip(budgets, shared.peaks):
+        assert peak == run_campaign(rng_new(seed), cfg, None, budget).selected
+    if cfg is _EMPTY_WINDOW:
+        assert shared.histogram.overflow == max(budgets)
+        assert shared.peaks == (None,) * len(budgets)
+
+
+def test_multi_budget_campaign_hits_the_same_trial_limit(monkeypatch):
+    from sixradii import histogram
+
+    monkeypatch.setattr(histogram, "_CAMPAIGN_TRIAL_LIMIT", 5000)
+    cfg = TrialConfig(error_model=ErrorModel(cut_elongation=10.0))
+    messages = []
+    for budgets in ((), (3, 10)):
+        with pytest.raises(DegenerateConfigError, match="trial limit") as raised:
+            run_campaign(rng_new(0), cfg, None, 10, budgets)
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("criteria, budgets", [(StoppingCriteria(), (5,)), (None, (0,)),
+                                                (None, (5, 11))])
+def test_budgets_need_a_fixed_budget_campaign_that_reaches_them(criteria, budgets):
+    with pytest.raises(ValueError, match="budgets"):
+        run_campaign(rng_new(0), TrialConfig(), criteria, 10, budgets)
