@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -122,7 +121,14 @@ def _read(arg: Arg, text) -> object:
         raise ConfigError(f"invalid value for {arg.flag}: {exc}") from None
 
 
-_THREADS = Arg("--threads", _COUNT, os.cpu_count() or 1, "threads",
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the system has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_THREADS = Arg("--threads", _COUNT, _usable_cpus(), "threads",
                help="worker processes for the command's batch (output is independent of this)")
 
 
@@ -133,7 +139,16 @@ def _add_argument(parser: argparse.ArgumentParser, arg: Arg) -> None:
     parser.add_argument(arg.flag, default=None, help=arg.help, **kind)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser; with ``command`` naming a command, only that command's subparser.
+
+    Parsing a command's arguments needs only its own subparser, and building
+    the other eight is most of the parser's start-up cost. The usage line
+    still lists every command, so help, usage and error text are those of the
+    full parser. With ``command`` None or naming no command (``--help``, no
+    arguments, an unknown command) every subparser is built.
+    """
+    names = [command] if command in _COMMANDS else list(_COMMANDS)
     parser = argparse.ArgumentParser(
         prog="sixradii",
         description="Simulate the wire measurement of a circle against six radii.",
@@ -141,15 +156,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="FILE", help="flat key=value config file")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in _COMMANDS.items():
-        p = sub.add_parser(name, parents=[common], help=command.help, allow_abbrev=False)
+    # a metavar only where the choices are cut: it would rename the argument in
+    # the full parser's "required" error
+    every = "{" + ",".join(_COMMANDS) + "}" if len(names) < len(_COMMANDS) else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=every)
+    for name in names:
+        spec = _COMMANDS[name]
+        p = sub.add_parser(name, parents=[common], help=spec.help, allow_abbrev=False)
         # a flag for each key the command reads, and for where its reports go
         for field in SCHEMA:
-            if field.name in (*command.reads, "out_dir", "formats"):
+            if field.name in (*spec.reads, "out_dir", "formats"):
                 flag = "--out" if field.name == "out_dir" else "--" + field.name.replace("_", "-")
                 p.add_argument(flag, dest=f"cfg_{field.name}", metavar="VALUE", help=field.help)
-        for arg in command.args + (_THREADS,) * command.batch:
+        for arg in spec.args + (_THREADS,) * spec.batch:
             _add_argument(p, arg)
     return parser
 
@@ -218,6 +237,8 @@ def _write_report(command: str, cfg: RunConfig, parameters: Mapping, report: Rep
 
 
 def cmd_trial(args: Mapping, cfg: RunConfig, threads: int) -> Report:
+    import json
+
     setup = cfg.trial
     if args["zero_errors"]:
         setup = replace(setup, error_model=apply_ablation(setup.error_model, AblationMode.NONE))
@@ -440,7 +461,8 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     command = _COMMANDS[args.command]
     try:
         values = {arg.name: _read(arg, getattr(args, arg.flag[2:].replace("-", "_")))

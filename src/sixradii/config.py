@@ -12,7 +12,6 @@ library is loaded here, so reading parameters loads no numpy.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -336,6 +335,8 @@ def serialize(cfg: RunConfig, keys: Collection[str] | None = None) -> str:
 
 def digest(cfg: RunConfig, keys: Collection[str] = keys_of("seed", "trial", "stopping")) -> str:
     """SHA-256 of ``serialize(cfg, keys)``; by default over every key a result can depend on."""
+    import hashlib  # here, so that a command that writes no JSON report does not load OpenSSL
+
     return hashlib.sha256(serialize(cfg, keys).encode("utf-8")).hexdigest()
 
 

@@ -208,14 +208,14 @@ def radius_budget_grid(
     longer one, so cell (i, b) is :func:`fixed_budget_success` on ``(seed, i)``,
     and a row's budgets compare on common random numbers. Each row is folded
     into one cell per budget as its campaigns arrive. Raises
-    :class:`CostCapError` if cells x campaigns exceeds the cap.
+    :class:`CostCapError` if the campaigns it runs, radii x campaigns, exceed
+    the cap.
     """
     radii = [float(r) for r in spec.radii]
     budgets = [int(b) for b in spec.budgets]
     n = spec.campaigns_per_cell
-    if len(radii) * len(budgets) * n > spec.cost_cap:
-        raise CostCapError(f"{len(radii) * len(budgets)} cells x {n} campaigns "
-                           f"exceeds cost cap {spec.cost_cap}")
+    if len(radii) * n > spec.cost_cap:
+        raise CostCapError(f"{len(radii)} radii x {n} campaigns exceeds cost cap {spec.cost_cap}")
     items = [item for r in radii for item in [(replace(cfg_template, radius=r), budgets)] * n]
     cells = []  # item j is campaign j % n of row j // n
     batch = _run_tasks(_grid_row_worker, rng_new(seed), items, workers, lambda j: divmod(j, n))

@@ -9,7 +9,6 @@ timestamps, no thread counts), keeping outputs reproducible.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Collection, Iterable, Mapping, Sequence
 
@@ -35,6 +34,8 @@ def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> No
 
 def write_json(path: Path, payload: Mapping) -> None:
     """Strict JSON: a value that could not be computed is null, and a NaN raises ValueError."""
+    import json  # here, so that a command that writes no JSON report does not load it
+
     text = json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=True, allow_nan=False)
     path.write_text(text + "\n", encoding="utf-8")
 

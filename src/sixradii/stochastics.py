@@ -191,6 +191,7 @@ def _run_tasks(fn: Callable, root: RngState, items: list, workers: int,
     import select
 
     import numpy  # noqa: F401  (before the fork; not numpy.random, 2.5 MB more peak RSS)
+    import hashlib  # noqa: F401  (numpy.random loads it, via secrets: once here, not per worker)
 
     # at most PIPE_BUF // 4 chunks, so that the task pipe takes every 4-byte record
     size = max(1, len(items) // (4 * workers), math.ceil(len(items) / (select.PIPE_BUF // 4)))

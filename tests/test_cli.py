@@ -278,6 +278,66 @@ def test_unknown_flag_exits_two():
     assert excinfo.value.code == 2
 
 
+def _parsed(parse, argv, capsys):
+    """What ``parse(argv)`` shows the user: its exit code and output, or the values it read."""
+    try:
+        values = vars(parse(argv))
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
+    return values
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_one_subparser_parses_and_errs_as_the_full_parser(command, capsys):
+    # main builds only the named command's subparser; what the user sees is unchanged
+    full, one = cli.build_parser(), cli.build_parser(command)
+    required = [arg.flag for arg in cli._COMMANDS[command].args if arg.default is None]
+    tiny = _TINY.get(command, [])
+    for rest in (["--help"], [], ["--out"], tiny, [*tiny, "--no-such-flag", "1"]):
+        seen = _parsed(one.parse_args, [command, *rest], capsys)
+        assert seen == _parsed(full.parse_args, [command, *rest], capsys), rest
+        if rest == [] and required:
+            assert seen[0] == 2 and "required: " + ", ".join(required) in seen[2]
+    # an unrecognized argument is the top-level parser's error, under its usage line
+    assert seen[0] == 2 and "unrecognized arguments: --no-such-flag 1" in seen[2]
+    assert list(one._subparsers._group_actions[0].choices) == [command]
+
+
+@pytest.mark.parametrize("argv, code, says", [
+    ([], 2, "error: the following arguments are required: command\n"),
+    (["--help"], 0, "Simulate the wire measurement"),
+    (["bogus"], 2, "error: argument command: invalid choice: 'bogus' (choose from 'trial', "),
+], ids=["none", "help", "unknown-command"])
+def test_a_command_line_naming_no_command_gets_the_full_parser(argv, code, says, capsys):
+    seen = _parsed(main, argv, capsys)
+    assert seen == _parsed(cli.build_parser().parse_args, argv, capsys)
+    assert seen[0] == code and says in seen[1] + seen[2]
+
+
+def test_entry_dispatches_on_sys_argv(tmp_path, monkeypatch, capsys):
+    built = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda *a: built.append(a) or build_parser(*a))
+    monkeypatch.setattr(sys, "argv", ["sixradii", "cf", "--value", "111/106", "--terms", "1",
+                                      "--formats", "csv", "--out", str(tmp_path)])
+    assert _parsed(lambda argv: cli.entry(), None, capsys) == (
+        0, "quotients=[1] convergent=1/1 pi=3.0000000\n", "")
+    assert [p.name for p in tmp_path.iterdir()] == ["cf.csv"]
+    assert built == [("cf",)]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+def test_threads_defaults_to_the_cpus_the_process_may_run_on():
+    # pinned to one CPU, a batch runs serially by default instead of forking onto it
+    probe = ("import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+             "from sixradii import cli; print(cli._THREADS.default)")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=env, check=True)
+    assert result.stdout == "1\n"
+
+
 # one spelling per flag: an abbreviation is refused, so that an unambiguous
 # prefix cannot quietly mean another flag once a command loses one
 @pytest.mark.parametrize("argv", [
@@ -460,9 +520,35 @@ def test_cf_help_and_input_errors_load_no_numpy(argv, code, named, tmp_path):
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cf.csv", "cf.json"]
 
 
+# Runs ``python -m sixradii.cli`` on its argv, then prints the exit code and
+# which of hashlib, json and numpy are loaded as its last line of stdout.
+_LOADED_PROBE = """
+import runpy, sys
+try:
+    runpy.run_module("sixradii.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(code, [m for m in ("hashlib", "json", "numpy") if m in sys.modules])
+"""
+
+
+@pytest.mark.parametrize("formats, loaded", [
+    ("csv", []),
+    ("csv,json", ["hashlib", "json"]),
+], ids=["csv", "json"])
+def test_start_up_loads_only_what_the_command_uses(formats, loaded, tmp_path):
+    # hashlib and json load where a JSON report is written, numpy on a kernel's first call
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", _LOADED_PROBE, "cf", "--value", "111/106",
+                             "--terms", "1", "--formats", formats, "--out", str(tmp_path)],
+                            capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.splitlines() == ["quotients=[1] convergent=1/1 pi=3.0000000",
+                                          f"0 {loaded}"]
+
+
 def test_importing_the_cli_loads_every_module_and_no_numpy():
     # bench/tracer.py install() imports sixradii.cli and then reads these
-    # modules from sys.modules by name
+    # modules from sys.modules by name, so the CLI imports no module lazily
     probe = ("import sys, sixradii.cli; "
              "print(sorted(m for m in sys.modules if m.startswith('sixradii.')), "
              "'numpy' in sys.modules)")
@@ -605,10 +691,22 @@ def test_grid_command_and_cost_cap(tmp_path, capsys):
 
     code, _, err = run(
         capsys, "grid", "--radii", "300,450", "--budgets", "5,10",
-        "--campaigns-per-cell", "4", "--cost-cap", "10", "--out", str(out_dir),
+        "--campaigns-per-cell", "4", "--cost-cap", "7", "--out", str(out_dir),
     )
     assert code == 3
     assert "cost cap" in err
+
+
+def test_grid_cost_cap_counts_the_campaigns_it_runs(tmp_path, capsys):
+    # a row's budgets share its campaigns: 1 radius x 4 campaigns run 4, whatever the budgets
+    grid = ["grid", "--radii", "450", "--budgets", "1,2,3", "--campaigns-per-cell", "4",
+            "--formats", "csv"]
+    code, out, _ = run(capsys, *grid, "--cost-cap", "4", "--out", str(tmp_path / "at"))
+    assert code == 0 and out.startswith("cells=3 ")
+    out_dir = tmp_path / "over"
+    assert run(capsys, *grid, "--cost-cap", "3", "--out", str(out_dir)) == (
+        3, "", "cost cap exceeded: 1 radii x 4 campaigns exceeds cost cap 3\n")
+    assert not out_dir.exists()
 
 
 def test_cf_command(tmp_path, capsys):

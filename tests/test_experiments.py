@@ -160,7 +160,8 @@ def test_grid_single_cell_reduces_to_fixed_budget():
 
 
 def test_grid_cost_cap():
-    spec = SweepSpec(radii=(200.0, 450.0), budgets=(25, 50), campaigns_per_cell=10, cost_cap=39)
+    # rows share their campaigns: 2 radii x 10 campaigns run 20, one over the cap
+    spec = SweepSpec(radii=(200.0, 450.0), budgets=(25, 50), campaigns_per_cell=10, cost_cap=19)
     with pytest.raises(CostCapError):
         radius_budget_grid(spec)
 
