@@ -9,7 +9,8 @@ stopping protocol that selects the most common outcome, and provides the
 experiment battery and CLI around it.
 
 Each public name is imported from its submodule on first use (PEP 562), so
-``import sixradii.contfrac`` loads no numpy.
+``import sixradii.contfrac`` loads no numpy, and the exact continued-fraction
+path loads no ``dataclasses`` either.
 """
 
 import importlib

@@ -11,10 +11,9 @@ divided in floating point.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational, Real
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 
 # A double resolves a real x only to about x / 2**53, and a convergent p/q is
@@ -24,8 +23,7 @@ _FLOAT_RESOLUTION = 2**53
 _PLAIN = frozenset((Fraction, float, int))
 
 
-@dataclass(frozen=True, slots=True)
-class CFExpansion:
+class CFExpansion(NamedTuple):
     """Quotient list plus whether the expansion terminated exactly."""
 
     quotients: tuple[int, ...]
@@ -97,7 +95,8 @@ def _divide(
     k_prev, k = 1, 0  # convergent denominators k(n-2), k(n-1)
     quotients: list[int] = []
     while max_terms is None or len(quotients) < max_terms:
-        q, r = divmod(a, b)
+        q = a // b
+        r = a - q * b
         if resolve:
             k_prev, k = k, q * k + k_prev
             if any(quotients) and k * k * p > _FLOAT_RESOLUTION * d:

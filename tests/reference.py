@@ -216,16 +216,27 @@ def record(hist: Histogram, value: int) -> None:
         hist.counts[value - hist.lo] += 1
 
 
+# A double x resolves a real only to about x / 2**53, and a convergent with
+# denominator k lies within 1 / k**2 of it.
+FLOAT_RESOLUTION = 2**53
+
+
 def cf_expand(x, max_terms: int | None = None, tolerance=0) -> tuple[list[int], bool]:
     """Continued fraction of x > 0 as (quotients, exact), in Fractions only.
 
     a = floor(x), then x = 1 / (x - a), until x - a is zero (exact), below
-    ``tolerance``, or ``max_terms`` quotients are taken.
+    ``tolerance``, or ``max_terms`` quotients are taken. A double also stops,
+    inexact, before the first quotient whose convergent denominator k has
+    k**2 * x > 2**53, once a nonzero quotient is kept.
     """
-    x = Fraction(x)
+    resolve = isinstance(x, float)
+    x = value = Fraction(x)
     quotients = []
     while max_terms is None or len(quotients) < max_terms:
         a = math.floor(x)
+        if (resolve and any(quotients)
+                and convergent([*quotients, a]).denominator ** 2 * value > FLOAT_RESOLUTION):
+            break
         quotients.append(a)
         if x == a:
             return quotients, True

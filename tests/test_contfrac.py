@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import reference
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sixradii.contfrac import (
@@ -81,6 +81,18 @@ def test_float_expansion_is_a_prefix_of_the_exact_one(x, max_terms):
     assert quotients == cf_expand(Fraction(x)).quotients[: len(quotients)]
 
 
+@given(x=finite_positive, max_terms=st.one_of(st.none(), st.integers(1, 40)))
+@example(x=5e-324, max_terms=None)
+@example(x=1e-320, max_terms=None)
+@example(x=math.pi / 3, max_terms=None)
+@example(x=1e-8, max_terms=None)
+@example(x=math.sqrt(29), max_terms=None)  # a bound of 2**52 or 2**54 stops it elsewhere
+@settings(max_examples=300, deadline=None)
+def test_float_expansion_stops_where_the_reference_resolution_rule_does(x, max_terms):
+    quotients, exact = reference.cf_expand(x, max_terms)
+    assert cf_expand(x, max_terms) == CFExpansion(tuple(quotients), exact)
+
+
 @given(a=finite_positive, b=finite_positive)
 @settings(max_examples=300, deadline=None)
 def test_euclid_on_floats_is_exact(a, b):
@@ -151,6 +163,16 @@ def test_exact_fraction_expansion():
     expansion = cf_expand(Fraction(111, 106))
     assert expansion.quotients == (1, 21, 5)
     assert expansion.exact
+
+
+def test_an_expansion_is_an_immutable_hashable_record():
+    expansion = cf_expand(Fraction(111, 106))
+    assert repr(expansion) == "CFExpansion(quotients=(1, 21, 5), exact=True)"
+    assert (expansion.quotients, expansion.exact) == ((1, 21, 5), True)
+    with pytest.raises(AttributeError):
+        expansion.exact = False
+    assert expansion == cf_expand(Fraction(111, 106)) == CFExpansion((1, 21, 5), True)
+    assert hash(expansion) == hash(cf_expand(Fraction(111, 106)))
 
 
 def test_cf_expand_validation():

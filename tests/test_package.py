@@ -11,6 +11,13 @@ import pytest
 import sixradii
 
 
+def _fresh_stdout(probe: str) -> str:
+    """What ``python -c probe`` prints in a fresh interpreter that imports this package."""
+    env = {**os.environ, "PYTHONPATH": str(Path(sixradii.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, check=True).stdout
+
+
 def test_the_exact_path_loads_no_numpy():
     # contfrac, the parameter objects and config, and the report writers are
     # pure Python; the package __init__ must not pull numpy in for them
@@ -22,10 +29,18 @@ def test_the_exact_path_loads_no_numpy():
              "cfg = config.resolve({}, {'radius': 300.0}); config.digest(cfg); "
              "reports.provenance_payload('trial', cfg, ('radius', 'seed'), {}, {}); "
              "print([m for m in sys.modules if m == 'numpy' or m.startswith('numpy.')])")
-    env = {**os.environ, "PYTHONPATH": str(Path(sixradii.__file__).parents[1])}
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                            env=env, check=True)
-    assert result.stdout == "[]\n"
+    assert _fresh_stdout(probe) == "[]\n"
+
+
+def test_the_continued_fraction_path_loads_no_dataclasses_and_no_numpy():
+    # CFExpansion is a NamedTuple: a dataclass would load dataclasses, and with
+    # it inspect, ast, dis and tokenize, into every process that expands a value
+    probe = ("import sys, sixradii.contfrac as c; "
+             "c.cf_expand(c.Fraction(111, 106)); c.convergent([1, 21, 5]); "
+             "c.euclid_quotients(355, 113); "
+             "print([m for m in sys.modules if m in ('dataclasses', 'numpy') "
+             "or m.startswith('numpy.')])")
+    assert _fresh_stdout(probe) == "[]\n"
 
 
 @pytest.mark.parametrize("name", sixradii.__all__)
