@@ -16,7 +16,9 @@ from .config import (
     ConfigError,
     RunConfig,
     keys_of,
+    listing,
     load_config_file,
+    number,
     parse_value,
     resolve,
 )
@@ -33,7 +35,7 @@ from .experiments import (
     run_campaign_batch,
     summarize_success,
 )
-from .histogram import Histogram, run_campaign
+from .histogram import MAX_MEASUREMENTS, Histogram, run_campaign
 from .measurement import DegenerateConfigError, simulate_trial
 from .reports import provenance_payload, write_csv, write_json
 from .stochastics import ReciprocalStudyConfig, reciprocal_peak_curve, rng_new
@@ -72,31 +74,7 @@ class Command(NamedTuple):
     batch: bool = False  # whether ``run`` fans a batch out, and so takes --threads
 
 
-def _number(kind: type, least: float | None = None) -> Callable:
-    """Read an int or a float, of at least ``least``; a NaN is below every least value."""
-    def read(text: str):
-        try:
-            value = kind(text)
-        except ValueError:
-            what = "an integer" if kind is int else "a number"
-            raise ValueError(f"not {what}: {text!r}") from None
-        if least is not None and not value >= least:
-            raise ValueError(f"must be >= {least}")
-        return value
-    return read
-
-
-def _list(read: Callable) -> Callable:
-    """Read comma-separated values, at least one; empty items are skipped."""
-    def read_list(text: str) -> tuple:
-        values = tuple(read(part) for part in text.split(",") if part.strip())
-        if not values:
-            raise ValueError("must list at least one value")
-        return values
-    return read_list
-
-
-_INT, _FLOAT, _COUNT = _number(int), _number(float), _number(int, 1)
+_INT, _FLOAT, _COUNT = number(int), number(float), number(int, 1)
 
 
 def _radius(text: str) -> float:
@@ -416,7 +394,7 @@ def cmd_recip(args: Mapping, cfg: RunConfig, threads: int) -> Report:
 
 # Each command's help line, handler, arguments and the config keys it reads. Handlers call
 # the library through this module's globals, so replacing one (as a tracer does) reaches them.
-_MAX_MEASUREMENTS = Arg("--max-measurements", _COUNT, 10_000, "max_measurements")
+_MAX_MEASUREMENTS = Arg("--max-measurements", _COUNT, MAX_MEASUREMENTS, "max_measurements")
 _TRIAL_KEYS, _CAMPAIGN_KEYS = keys_of("seed", "trial"), keys_of("seed", "trial", "stopping")
 _COMMANDS = {
     "trial": Command("run one measurement trial", cmd_trial, (
@@ -434,13 +412,13 @@ _COMMANDS = {
         Arg("--trials", _COUNT, 10_000, "trials")),  # --mode sets both error toggles
         keys_of("seed", "trial", less=("fixed_errors_enabled", "random_errors_enabled"))),
     "sweep-radius": Command("first-iteration consistency across radii", cmd_sweep_radius, (
-        Arg("--radii", _list(_radius), (100.0, 150.0, 200.0, 250.0, 300.0, 350.0, 400.0,
-                                        450.0, 500.0, 550.0, 600.0), "radii"),
+        Arg("--radii", listing(_radius), (100.0, 150.0, 200.0, 250.0, 300.0, 350.0, 400.0,
+                                          450.0, 500.0, 550.0, 600.0), "radii"),
         Arg("--trials-per-radius", _COUNT, 2000, "trials_per_radius")),  # first counts never round
         keys_of("seed", "trial", less=("radius", "literal_rounding")), True),
     "grid": Command("success fraction over a radius x budget grid", cmd_grid, (
-        _field(SweepSpec, "--radii", _list(_FLOAT), "radii"),
-        _field(SweepSpec, "--budgets", _list(_INT), "budgets"),
+        _field(SweepSpec, "--radii", listing(_FLOAT), "radii"),
+        _field(SweepSpec, "--budgets", listing(_INT), "budgets"),
         _field(SweepSpec, "--campaigns-per-cell", _INT, "campaigns_per_cell"),
         _field(SweepSpec, "--cost-cap", _INT, "cost_cap")),
         keys_of("seed", "trial", less=("radius",)), True),
@@ -449,12 +427,12 @@ _COMMANDS = {
             help="pi, pi/3 (doubles), or exact text like 111/106 or 2.75; the reported "
                  "pi is 3 x the convergent, so it assumes the value approximates pi/3"),
         Arg("--terms", _COUNT, 3, "terms"),
-        Arg("--tolerance", _number(float, 0), 0.0, "tolerance")), ()),
+        Arg("--tolerance", number(float, 0), 0.0, "tolerance")), ()),
     "recip": Command("peak/mean of a ratio of normals across denominator stdevs", cmd_recip, (
         _field(ReciprocalStudyConfig, "--num-mean", _FLOAT, "numerator_mean"),
         _field(ReciprocalStudyConfig, "--num-stdev", _FLOAT, "numerator_stdev"),
         _field(ReciprocalStudyConfig, "--den-mean", _FLOAT, "denominator_mean"),
-        _field(ReciprocalStudyConfig, "--stdevs", _list(_FLOAT), "denominator_stdevs"),
+        _field(ReciprocalStudyConfig, "--stdevs", listing(_FLOAT), "denominator_stdevs"),
         _field(ReciprocalStudyConfig, "--samples", _INT, "samples_per_point"),
         _field(ReciprocalStudyConfig, "--bin-width", _FLOAT, "bin_width")), ("seed",), True),
 }

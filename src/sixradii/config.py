@@ -1,13 +1,16 @@
 """The run's parameter objects, and the flat key=value configuration that sets them.
 
 The error model, the trial setup and the stopping rule are defined here,
-beside the schema: one documented key per field, whose default and value
-kind are read from that field, so each default is written once, on the
-domain object. Unknown keys are hard errors. Precedence when resolving:
-command-line flag > config-file key > environment default (output directory
-only) > built-in default. The serialized form is canonical, so its SHA-256
-digest identifies a configuration in provenance records. Only the standard
-library is loaded here, so reading parameters loads no numpy.
+beside the schema: one documented key per field, whose default is read from
+that field, so each default is written once, on the domain object; a key's
+kind is its default's type. Unknown keys are hard errors. Precedence when
+resolving: command-line flag > config-file key > environment default (output
+directory only) > built-in default. The serialized form is canonical, so its SHA-256
+digest identifies a configuration in provenance records. This module holds
+the package's one text codec: the readers of config keys and command
+arguments, and :func:`format_value`, which writes config values and report
+cells. Only the standard library is loaded here, so reading parameters loads
+no numpy.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, fields, is_dataclass
-from typing import Collection, Mapping, NamedTuple
+from typing import Callable, Collection, Mapping, NamedTuple
 
 # Fractional circumference error that flips the second iteration from 5 to 4.
 FLIP_ERROR_FRACTION = 3e-5
@@ -204,18 +207,12 @@ def _leaves(cls, path: tuple[str, ...] = ()):
 
 
 _LEAVES = {path[-1]: (path, f) for path, f in _leaves(RunConfig)}
-# Value kind of each field annotation, and the Python types resolve accepts per
-# kind; bool is an int subclass, so resolve gives a bool to bool keys only.
-_KINDS = {t: t for t in ("float", "int", "bool", "str")} | {"tuple[str, ...]": "formats"}
-_TYPES = {"float": (int, float), "int": int, "bool": bool, "str": (str, os.PathLike),
-          "formats": tuple}
 
 
 class SchemaField(NamedTuple):
-    """One config key; its kind and default come from the field that owns it."""
+    """One config key; its default comes from its field, and its kind is the default's type."""
 
     name: str
-    kind: str  # float | int | bool | str | formats
     default: object
     help: str
     path: tuple[str, ...]  # attribute path from RunConfig to the value
@@ -229,7 +226,7 @@ class SchemaField(NamedTuple):
 
 def _key(name: str, help_text: str) -> SchemaField:
     path, f = _LEAVES[name]
-    return SchemaField(name, _KINDS[f.type], f.default, help_text, path)
+    return SchemaField(name, f.default, help_text, path)
 
 
 SCHEMA: tuple[SchemaField, ...] = (
@@ -254,40 +251,60 @@ SCHEMA: tuple[SchemaField, ...] = (
 )
 
 _BY_NAME = {f.name: f for f in SCHEMA}
-_VALID_FORMATS = ("csv", "json", "svg")
+
+
+def number(kind: type, least: float | None = None) -> Callable:
+    """Read an int or a float, of at least ``least``; a NaN is below every least value."""
+    def read(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            what = "an integer" if kind is int else "a number"
+            raise ValueError(f"not {what}: {text!r}") from None
+        if least is not None and not value >= least:
+            raise ValueError(f"must be >= {least}")
+        return value
+    return read
+
+
+def listing(read: Callable) -> Callable:
+    """Read comma-separated values, at least one; empty items are skipped."""
+    def read_list(text: str) -> tuple:
+        values = tuple(read(part) for part in text.split(",") if part.strip())
+        if not values:
+            raise ValueError("must list at least one value")
+        return values
+    return read_list
+
+
+# By a key's kind: the reader of its text (a word outside _SWITCH or _FORMATS is a
+# KeyError), and the Python types resolve accepts; bool is an int subclass, so
+# resolve gives a bool to bool keys only.
+_SWITCH = {**dict.fromkeys(("true", "1", "yes", "on"), True),
+           **dict.fromkeys(("false", "0", "no", "off"), False)}
+_FORMATS = {name: name for name in ("csv", "json", "svg")}
+_READERS = {float: number(float), int: number(int), bool: lambda text: _SWITCH[text.lower()],
+            str: str, tuple: listing(lambda part: _FORMATS[part.strip()])}
+_TYPES = {float: (int, float), int: int, bool: bool, str: (str, os.PathLike), tuple: tuple}
 
 
 def parse_value(field: SchemaField, raw: str):
-    text = raw.strip()
     try:
-        if field.kind == "float":
-            return float(text)
-        if field.kind == "int":
-            return int(text)
-        if field.kind == "bool":
-            lowered = text.lower()
-            if lowered in ("true", "1", "yes", "on"):
-                return True
-            if lowered in ("false", "0", "no", "off"):
-                return False
-            raise ValueError
-        if field.kind == "formats":
-            parts = tuple(p.strip() for p in text.split(",") if p.strip())
-            bad = [p for p in parts if p not in _VALID_FORMATS]
-            if bad or not parts:
-                raise ValueError
-            return parts
-        return text  # str
-    except ValueError:
+        return _READERS[type(field.default)](raw.strip())
+    except (KeyError, ValueError):
         raise ConfigError(f"invalid value for {field.name}: {raw!r}") from None
 
 
-def _format_value(field: SchemaField, value) -> str:
-    if field.kind == "bool":
+def format_value(value) -> str:
+    """The text of a config value or report cell: None is empty, a bool true or
+    false, a float its repr (shortest round trip), a tuple comma-joined."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if field.kind == "float":
-        return repr(float(value))
-    if field.kind == "formats":
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, tuple):
         return ",".join(value)
     return str(value)
 
@@ -329,7 +346,8 @@ def serialize(cfg: RunConfig, keys: Collection[str] | None = None) -> str:
     reports stay byte-identical wherever they are written and whatever else
     the config sets.
     """
-    return "".join(f"{key.name} = {_format_value(key, key.read(cfg))}\n"
+    # each value as its key's kind, so a float key set from an int is written 450.0
+    return "".join(f"{key.name} = {format_value(type(key.default)(key.read(cfg)))}\n"
                    for key in SCHEMA if keys is None or key.name in keys)
 
 
@@ -355,8 +373,8 @@ def resolve(
         for key, value in source.items():
             if key not in _BY_NAME:
                 raise ConfigError(f"unknown config key: {key}")
-            kind = _BY_NAME[key].kind
-            if not isinstance(value, _TYPES[kind]) or isinstance(value, bool) != (kind == "bool"):
+            kind = type(_BY_NAME[key].default)
+            if not isinstance(value, _TYPES[kind]) or isinstance(value, bool) != (kind is bool):
                 raise ConfigError(f"invalid value for {key}: {value!r}")
             merged[key] = value
     try:

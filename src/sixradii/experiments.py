@@ -24,7 +24,7 @@ from itertools import islice
 from typing import Iterable, NamedTuple, Sequence
 
 from .config import ErrorModel, StoppingCriteria, TrialConfig
-from .histogram import CampaignResult, run_campaign
+from .histogram import MAX_MEASUREMENTS, CampaignResult, run_campaign
 from .measurement import WINDOW_HI, trial_blocks
 from .stochastics import RngState, _run_tasks, rng_new
 
@@ -103,7 +103,7 @@ def run_campaign_batch(
     criteria: StoppingCriteria | None,
     n_campaigns: int,
     seed: int | RngState,
-    max_measurements: int = 10_000,
+    max_measurements: int = MAX_MEASUREMENTS,
     workers: int = 1,
 ) -> list[CampaignResult]:
     """n independent :func:`~sixradii.histogram.run_campaign` runs; run i uses child stream i.

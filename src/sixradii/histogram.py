@@ -27,6 +27,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 _CAMPAIGN_TRIAL_LIMIT = 1_000_000
+MAX_MEASUREMENTS = 10_000  # a campaign's default measurement budget
 
 
 @dataclass(slots=True)
@@ -159,7 +160,7 @@ def run_campaign(
     rng: RngState,
     cfg: TrialConfig,
     criteria: StoppingCriteria | None,
-    max_measurements: int = 10_000,
+    max_measurements: int = MAX_MEASUREMENTS,
     budgets: Sequence[int] = (),
 ) -> CampaignResult:
     """Measure repeatedly until the stopping rule, or the budget, selects a peak.

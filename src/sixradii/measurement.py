@@ -157,7 +157,8 @@ def trial_block(rng: RngState, cfg: TrialConfig) -> TrialBlock:
     piece += em.circumference_stdev(cfg.radius) * gen.standard_normal(n)
     piece += 3.0 * em.cut_elongation_effective()
     piece += cut_stdev * gen.standard_normal(n)
-    bad = (piece <= 0) | (piece >= cfg.six_r)
+    # written so that a NaN piece fails it: from a radius of about 3e307, 6R and C are inf
+    bad = ~((piece > 0) & (piece < cfg.six_r))
     if bad.any():
         raise DegenerateConfigError(
             f"circumference piece {piece[bad][0]} outside (0, 6R); check error magnitudes"

@@ -1,10 +1,11 @@
 """Deterministic CSV and JSON report writers.
 
 CSV uses '.' decimals, a mandatory header row, and newline-terminated rows;
-floats are written with repr (shortest round-trip form) so files compare
-byte for byte across runs and platforms. Provenance JSON records the
-config keys the command reads and their digest but nothing volatile (no
-timestamps, no thread counts), keeping outputs reproducible.
+cells are formatted by :func:`sixradii.config.format_value`, which writes
+floats with repr (shortest round-trip form), so files compare byte for byte
+across runs and platforms. Provenance JSON records the config keys the
+command reads and their digest but nothing volatile (no timestamps, no
+thread counts), keeping outputs reproducible.
 """
 
 from __future__ import annotations
@@ -13,22 +14,12 @@ from pathlib import Path
 from typing import Collection, Iterable, Mapping, Sequence
 
 from . import __version__
-from .config import RunConfig, digest, serialize
-
-
-def format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+from .config import RunConfig, digest, format_value, serialize
 
 
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     lines = [",".join(header)]
-    lines.extend(",".join(format_cell(cell) for cell in row) for row in rows)
+    lines.extend(",".join(format_value(cell) for cell in row) for row in rows)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -470,20 +470,26 @@ def test_a_forked_command_prints_its_lines_once(tmp_path):
     assert result.stderr == ""
 
 
-@pytest.mark.parametrize("command", ["success", "budget", "sweep-radius", "grid"])
+@pytest.mark.parametrize("command", ["trial", "campaign", "success", "budget", "ablate",
+                                     "sweep-radius", "grid"])
 def test_a_degenerate_config_exits_two_at_any_thread_count(command, tmp_path, capsys):
-    # a worker's DegenerateConfigError reaches main with its type and message
-    seen = []
-    for threads in ("1", "2"):
-        out_dir = tmp_path / threads
-        seen.append(run(capsys, command, *_TINY[command], "--circumference-stdev-base", "1e6",
-                        "--threads", threads, "--out", str(out_dir)))
-        assert not out_dir.exists()
-    code, out, err = seen[0]
-    assert seen[1] == seen[0]
-    assert (code, out) == (2, "")
-    assert re.fullmatch(r"error: circumference piece \S+ outside \(0, 6R\); "
-                        r"check error magnitudes\n", err)
+    # a worker's DegenerateConfigError reaches main with its type and message,
+    # at the first trial block; at a radius of 1e308 both 6R and C are inf, so
+    # the piece C - 6R is NaN
+    radius = "--radii" if command in ("sweep-radius", "grid") else "--radius"
+    batch = cli._COMMANDS[command].batch
+    for bad in (["--circumference-stdev-base", "1e6"], [radius, "1e308"]):
+        seen = []
+        for threads in ("1", "2") if batch else ("1",):
+            out_dir = tmp_path / threads
+            seen.append(run(capsys, command, *_TINY.get(command, []), *bad,
+                            *("--threads", threads) * batch, "--out", str(out_dir)))
+            assert not out_dir.exists()
+        code, out, err = seen[0]
+        assert seen[-1] == seen[0]
+        assert (code, out) == (2, ""), bad
+        assert re.fullmatch(r"error: circumference piece \S+ outside \(0, 6R\); "
+                            r"check error magnitudes\n", err), bad
 
 
 # Runs main on its argv in a fresh interpreter, then prints the exit code and

@@ -53,6 +53,12 @@ def test_serialize_writes_the_given_keys_in_schema_order():
     assert digest(cfg, ()) == hashlib.sha256(b"").hexdigest()
 
 
+def test_a_float_key_set_from_an_int_is_written_as_a_float():
+    cfg = resolve({"radius": 450})
+    assert "radius = 450.0\n" in serialize(cfg)
+    assert digest(cfg) == digest(resolve({"radius": 450.0}))
+
+
 def test_unknown_key_is_named():
     with pytest.raises(ConfigError, match="wire_diamter"):
         parse_config_text("wire_diamter = 0.5\n")
@@ -98,18 +104,19 @@ def test_bool_and_formats_parsing():
 
 
 _SAMPLE_VALUES = {
-    "float": (1.25, 2.5),
-    "int": (7, 9),
-    "bool": (True, False),
-    "str": ("dir_a", "dir_b"),
-    "formats": (("csv",), ("csv", "json", "svg")),
+    float: (1.25, 2.5),
+    int: (7, 9),
+    bool: (True, False),
+    str: ("dir_a", "dir_b"),
+    tuple: (("csv",), ("csv", "json", "svg")),
 }
 
 
 @pytest.mark.parametrize("field", SCHEMA, ids=lambda f: f.name)
 def test_precedence_flag_beats_file_beats_default(field):
     # a fraction must lie in (0, 1), which the generic float samples do not
-    samples = (0.25, 0.5) if field.name == "bin_threshold_fraction" else _SAMPLE_VALUES[field.kind]
+    samples = ((0.25, 0.5) if field.name == "bin_threshold_fraction"
+               else _SAMPLE_VALUES[type(field.default)])
     file_value, flag_value = samples
     assert field.read(resolve()) == field.default
     from_file = resolve({field.name: file_value})

@@ -16,6 +16,7 @@ import json
 import pytest
 
 from sixradii.cli import main
+from sixradii.reports import write_csv
 
 _CASES = {
     "trial": ["trial", "--seed", "7"],
@@ -124,3 +125,9 @@ def test_report_bytes_match_golden(case, tmp_path, capsys):
 @pytest.mark.parametrize("case", _BATCH)
 def test_report_bytes_independent_of_threads(case, tmp_path, capsys):
     assert report_digests(_CASES[case], tmp_path, capsys, threads=2) == _GOLDEN[case]
+
+
+def test_csv_cells_are_written_in_their_text_form(tmp_path):
+    path = tmp_path / "cells.csv"
+    write_csv(path, ("a", "b", "c", "d", "e", "f"), [(None, True, False, 0.1, 3, "x")])
+    assert path.read_bytes() == b"a,b,c,d,e,f\n,true,false,0.1,3,x\n"

@@ -1,5 +1,6 @@
 """The package namespace: names resolve lazily, and the pure-Python modules run without numpy."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -59,3 +60,23 @@ def test_an_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         sixradii.no_such_name
     assert not hasattr(sixradii, "no_such_name")
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # a helper moved between modules tends to leave its imports behind; an
+    # import kept for its side effect is marked "# noqa" on its line
+    unused = []
+    for path in sorted(Path(sixradii.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        tree = ast.parse(text)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                    or getattr(node, "module", None) == "__future__"
+                    or "# noqa" in text.splitlines()[node.lineno - 1]):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []
