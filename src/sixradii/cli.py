@@ -6,7 +6,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -26,6 +26,8 @@ from .contfrac import cf_expand, convergent, pi_estimate
 from .experiments import (
     AblationMode,
     CostCapError,
+    GridCell,
+    RadiusSweepPoint,
     SweepSpec,
     ablation_distribution,
     apply_ablation,
@@ -38,7 +40,7 @@ from .experiments import (
 from .histogram import MAX_MEASUREMENTS, Histogram, run_campaign
 from .measurement import DegenerateConfigError, simulate_trial
 from .reports import provenance_payload, write_csv, write_json
-from .stochastics import ReciprocalStudyConfig, reciprocal_peak_curve, rng_new
+from .stochastics import ReciprocalPoint, ReciprocalStudyConfig, reciprocal_peak_curve, rng_new
 from .svgplot import render_histogram_svg
 
 ENV_OUT_DIR = "SIXRADII_OUT"
@@ -77,11 +79,15 @@ class Command(NamedTuple):
 _INT, _FLOAT, _COUNT = number(int), number(float), number(int, 1)
 
 
-def _radius(text: str) -> float:
-    radius = _FLOAT(text)
-    if not 0 < radius < math.inf:
-        raise ValueError("radius must be finite and > 0")
-    return radius
+def _radii(text: str) -> tuple[float, ...]:
+    """Radii, each finite and > 0, none listed twice: a report keys its rows by radius."""
+    radii = listing(_FLOAT)(text)
+    for i, radius in enumerate(radii):
+        if not 0 < radius < math.inf:
+            raise ValueError("radius must be finite and > 0")
+        if radius in radii[:i]:
+            raise ValueError(f"radius {radius!r} is listed twice")
+    return radii
 
 
 def _field(cls: type, flag: str, read: Callable, name: str) -> Arg:
@@ -132,15 +138,14 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         description="Simulate the wire measurement of a circle against six radii.",
         allow_abbrev=False,
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="FILE", help="flat key=value config file")
     # a metavar only where the choices are cut: it would rename the argument in
     # the full parser's "required" error
     every = "{" + ",".join(_COMMANDS) + "}" if len(names) < len(_COMMANDS) else None
     sub = parser.add_subparsers(dest="command", required=True, metavar=every)
     for name in names:
         spec = _COMMANDS[name]
-        p = sub.add_parser(name, parents=[common], help=spec.help, allow_abbrev=False)
+        p = sub.add_parser(name, help=spec.help, allow_abbrev=False)
+        p.add_argument("--config", metavar="FILE", help="flat key=value config file")
         # a flag for each key the command reads, and for where its reports go
         for field in SCHEMA:
             if field.name in (*spec.reads, "out_dir", "formats"):
@@ -221,7 +226,7 @@ def cmd_trial(args: Mapping, cfg: RunConfig, threads: int) -> Report:
     if args["zero_errors"]:
         setup = replace(setup, error_model=apply_ablation(setup.error_model, AblationMode.NONE))
     trial = simulate_trial(rng_new(cfg.seed), setup)
-    return Report(json.dumps(asdict(trial), sort_keys=True))
+    return Report(json.dumps(trial._asdict(), sort_keys=True))
 
 
 def cmd_campaign(args: Mapping, cfg: RunConfig, threads: int) -> Report:
@@ -249,24 +254,16 @@ def cmd_success(args: Mapping, cfg: RunConfig, threads: int) -> Report:
         args["max_measurements"], workers=threads,
     )
     stats = summarize_success(outcomes)
+    results = stats._asdict()
+    del results["n_campaigns"]  # the JSON's parameters hold it, as campaigns
     mean = stats.mean_measurements
     return Report(
         f"success={stats.success_fraction:.3f} "
         f"mean_measurements={math.nan if mean is None else mean:.2f} "
         f"no_decision={stats.no_decision_fraction:.3f}",
+        results,
         {
-            "success_fraction": stats.success_fraction,
-            "mean_measurements": stats.mean_measurements,
-            "no_decision_fraction": stats.no_decision_fraction,
-            "ci_half_width": stats.ci_half_width,
-        },
-        {
-            "success": (
-                ("success_fraction", "mean_measurements", "no_decision_fraction",
-                 "ci_half_width", "n_campaigns"),
-                [(stats.success_fraction, stats.mean_measurements,
-                  stats.no_decision_fraction, stats.ci_half_width, stats.n_campaigns)],
-            ),
+            "success": (stats._fields, [stats]),
             "success_campaigns": (
                 ("campaign", "selected", "measurements", "discarded"),
                 [(i, o.selected, o.measurements, o.discarded) for i, o in enumerate(outcomes)],
@@ -308,7 +305,7 @@ def cmd_sweep_radius(args: Mapping, cfg: RunConfig, threads: int) -> Report:
         f"radii={len(points)} min_fraction={min(fractions):.3f} "
         f"max_fraction={max(fractions):.3f}",
         {"fractions": {repr(p.radius): p.fraction_first_21 for p in points}},
-        {"sweep_radius": (("radius", "fraction_first_21"), points)},
+        {"sweep_radius": (RadiusSweepPoint._fields, points)},
     )
 
 
@@ -319,8 +316,8 @@ def cmd_grid(args: Mapping, cfg: RunConfig, threads: int) -> Report:
     return Report(
         f"cells={len(cells)} budget_effect={budget_range:.3f} "
         f"radius_effect={radius_range:.3f}",
-        {"cells": [[c.radius, c.budget, c.success_fraction] for c in cells]},
-        {"grid": (("radius", "budget", "success_fraction"), cells)},
+        {"cells": [list(cell) for cell in cells]},
+        {"grid": (GridCell._fields, cells)},
     )
 
 
@@ -387,8 +384,8 @@ def cmd_recip(args: Mapping, cfg: RunConfig, threads: int) -> Report:
     peaks = [math.nan if p.peak_location is None else p.peak_location for p in points]
     return Report(
         f"points={len(points)} first_peak={peaks[0]:.4f} last_peak={peaks[-1]:.4f}",
-        {"points": [[p.denominator_stdev, p.peak_location, p.central_mean] for p in points]},
-        {"recip": (("denominator_stdev", "peak_location", "central_mean"), points)},
+        {"points": [list(point) for point in points]},
+        {"recip": (ReciprocalPoint._fields, points)},
     )
 
 
@@ -412,12 +409,12 @@ _COMMANDS = {
         Arg("--trials", _COUNT, 10_000, "trials")),  # --mode sets both error toggles
         keys_of("seed", "trial", less=("fixed_errors_enabled", "random_errors_enabled"))),
     "sweep-radius": Command("first-iteration consistency across radii", cmd_sweep_radius, (
-        Arg("--radii", listing(_radius), (100.0, 150.0, 200.0, 250.0, 300.0, 350.0, 400.0,
-                                          450.0, 500.0, 550.0, 600.0), "radii"),
+        Arg("--radii", _radii, (100.0, 150.0, 200.0, 250.0, 300.0, 350.0, 400.0,
+                                450.0, 500.0, 550.0, 600.0), "radii"),
         Arg("--trials-per-radius", _COUNT, 2000, "trials_per_radius")),  # first counts never round
         keys_of("seed", "trial", less=("radius", "literal_rounding")), True),
     "grid": Command("success fraction over a radius x budget grid", cmd_grid, (
-        _field(SweepSpec, "--radii", listing(_FLOAT), "radii"),
+        _field(SweepSpec, "--radii", _radii, "radii"),
         _field(SweepSpec, "--budgets", listing(_INT), "budgets"),
         _field(SweepSpec, "--campaigns-per-cell", _INT, "campaigns_per_cell"),
         _field(SweepSpec, "--cost-cap", _INT, "cost_cap")),

@@ -25,7 +25,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .config import ErrorModel, StoppingCriteria, TrialConfig
 from .histogram import MAX_MEASUREMENTS, CampaignResult, run_campaign
-from .measurement import WINDOW_HI, trial_blocks
+from .measurement import WINDOW_HI, DegenerateConfigError, trial_blocks
 from .stochastics import RngState, _run_tasks, rng_new
 
 
@@ -71,8 +71,7 @@ class SweepSpec:
             raise ValueError("cost_cap must be >= 1")
 
 
-@dataclass(frozen=True)
-class SuccessStats:
+class SuccessStats(NamedTuple):
     """Success fraction with its binomial 95% half-width, plus campaign stats;
     ``mean_measurements`` is over the campaigns that selected, None if none did."""
 
@@ -164,12 +163,16 @@ def ablation_distribution(
     Bypasses the stopping protocol: a degenerate (for example error-free)
     setup piles all mass into one bin, which the stopping rule can never
     accept, so ablation answers are read from the trial outcomes directly.
+    Raises :class:`DegenerateConfigError` when no trial's first count is 21.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     ablated = replace(cfg, error_model=apply_ablation(cfg.error_model, mode))
     counts = _trial_tally(rng_new(seed), (ablated, n_trials))
     kept = int(counts.sum())
+    if not kept:
+        raise DegenerateConfigError(f"none of {n_trials} trials kept: first iteration "
+                                    "never yielded 21")
     return {q: int(c) / kept for q, c in enumerate(counts) if c}
 
 

@@ -17,7 +17,7 @@ importing this module loads no numpy.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, ClassVar, Sequence
+from typing import TYPE_CHECKING, ClassVar, NamedTuple, Sequence
 
 from .config import StoppingCriteria, TrialConfig
 from .measurement import BLOCK_TRIALS, WINDOW_HI, DegenerateConfigError, trial_blocks
@@ -132,8 +132,7 @@ def stopping_prefix(hist: Histogram, values: np.ndarray, criteria: StoppingCrite
     return int(hits[0]) if hits.size else None
 
 
-@dataclass
-class CampaignResult:
+class CampaignResult(NamedTuple):
     """Outcome of one campaign; ``selected`` is the histogram's peak bin or None.
 
     With a stopping rule, None means the measurement budget ran out before

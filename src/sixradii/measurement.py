@@ -19,7 +19,6 @@ this module, as the CLI does for every command, loads no numpy.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .config import TrialConfig
@@ -36,11 +35,10 @@ _FIRST_STEPS = 24  # copies laid on every row of the first count (21 pass the ma
 
 
 class DegenerateConfigError(RuntimeError):
-    """Raised by the piece check, the first-iteration guard and the campaign trial limit."""
+    """Raised for a piece outside (0, 6R), a runaway count, or too few kept trials."""
 
 
-@dataclass(frozen=True)
-class TrialResult:
+class TrialResult(NamedTuple):
     first_quotient: int
     second_quotient: int
     c_minus_six_r: float

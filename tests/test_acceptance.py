@@ -4,9 +4,10 @@ Run with ``pytest tests/test_acceptance.py -v -s``. Stochastic criteria use
 the fixed seeds documented next to each test; reruns are bit-identical.
 
 Criterion 3 asserts a trial-level fraction band that the error constants
-cannot produce (see notes in the decisions ledger outside the package); its
-mode assertion passes, the band assertion fails, and the supplementary test
-directly after it records the protocol-level rate that does land in the band.
+cannot produce (see the criterion-3 paragraph of README's "Install and
+test"); its mode assertion passes, the band assertion fails, and the
+supplementary test directly after it records the protocol-level rate that
+does land in the band.
 """
 
 import json
@@ -69,7 +70,7 @@ def test_c03_random_only_ablation_trial_level():
     assert ok_band, (
         "trial-level fraction of 4 cannot reach [0.58, 0.72] with the measured "
         "error constants; the rate lands in-band at protocol level (see the "
-        "supplement test and the decisions ledger)"
+        "supplement test and the criterion-3 paragraph of README's Install and test)"
     )
 
 

@@ -11,8 +11,16 @@ import pytest
 from sixradii import cli
 from sixradii.cli import main
 from sixradii.config import ErrorModel, RunConfig, TrialConfig, serialize
-from sixradii.measurement import trial_blocks
-from sixradii.stochastics import rng_new
+from sixradii.experiments import (
+    AblationMode,
+    GridCell,
+    RadiusSweepPoint,
+    SuccessStats,
+    ablation_distribution,
+)
+from sixradii.histogram import CampaignResult
+from sixradii.measurement import DegenerateConfigError, TrialResult, trial_blocks
+from sixradii.stochastics import ReciprocalPoint, rng_new
 
 COMMON = ["--formats", "csv,json"]
 
@@ -232,6 +240,13 @@ def test_campaign_whose_first_iteration_never_passes_the_mark_exits_two(
     pytest.param(["recip", "--samples", "many"], "--samples", id="recip-not-a-number"),
     pytest.param(["budget", "--budget", "1", "--threads", "two"], "--threads",
                  id="threads-not-a-number"),
+    # a report keys its rows by radius: a radius listed twice would be one key for two rows
+    pytest.param(["sweep-radius", "--radii", "450,450", "--trials-per-radius", "300",
+                  "--seed", "3"], "--radii", id="sweep-radius-repeated"),
+    pytest.param(["sweep-radius", "--radii", "450,450.0"], "--radii",
+                 id="sweep-radius-repeated-spelled-apart"),
+    pytest.param(["grid", "--radii", "450,450", "--budgets", "10,10", "--campaigns-per-cell",
+                  "5", "--seed", "3"], "--radii", id="grid-radii-repeated"),
 ], ids=lambda value: value if isinstance(value, str) else value[0])
 def test_argument_errors_exit_two_naming_the_flag(argv, flag, tmp_path, capsys):
     out_dir = tmp_path / "out"
@@ -646,6 +661,37 @@ def test_success_summary_and_files(tmp_path, capsys):
     campaigns = (out_dir / "success_campaigns.csv").read_text().splitlines()
     assert campaigns[0] == "campaign,selected,measurements,discarded"
     assert len(campaigns) == 7
+
+
+@pytest.mark.parametrize("command, record", [
+    ("success", SuccessStats), ("sweep-radius", RadiusSweepPoint), ("grid", GridCell),
+    ("recip", ReciprocalPoint),
+])
+def test_a_table_of_records_is_headed_by_the_record_fields(command, record, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    code, _, _ = run(capsys, command, *_TINY[command], "--formats", "csv", "--out", str(out_dir))
+    assert code == 0
+    table = (out_dir / f"{command.replace('-', '_')}.csv").read_text().splitlines()
+    assert table[0] == ",".join(record._fields)
+
+
+def test_result_records_are_named_tuples():
+    for record in (TrialResult, SuccessStats, CampaignResult, RadiusSweepPoint, GridCell,
+                   ReciprocalPoint):
+        assert issubclass(record, tuple) and record._fields, record
+
+
+def test_ablate_that_keeps_no_trial_exits_two(tmp_path, capsys):
+    # a cut elongation of 5 makes every first count 18 or 19: no trial is kept
+    cfg = TrialConfig(error_model=ErrorModel(cut_elongation=5.0))
+    with pytest.raises(DegenerateConfigError, match="none of 500 trials kept"):
+        ablation_distribution(cfg, AblationMode.ALL_ERRORS, 500, 0)
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "ablate", "--cut-elongation", "5", "--trials", "500",
+                         "--out", str(out_dir))
+    assert (code, out) == (2, "")
+    assert err == "error: none of 500 trials kept: first iteration never yielded 21\n"
+    assert not out_dir.exists()
 
 
 def test_budget_command(tmp_path, capsys):

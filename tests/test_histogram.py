@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -325,7 +323,7 @@ def test_multi_budget_selection_matches_one_budget_campaigns(seed, cfg, budgets)
     # campaign of budget b on the same stream selects, and is itself unchanged
     shared = run_campaign(rng_new(seed), cfg, None, max(budgets), budgets)
     assert len(shared.peaks) == len(budgets)
-    assert replace(shared, peaks=()) == run_campaign(rng_new(seed), cfg, None, max(budgets))
+    assert shared._replace(peaks=()) == run_campaign(rng_new(seed), cfg, None, max(budgets))
     for budget, peak in zip(budgets, shared.peaks):
         assert peak == run_campaign(rng_new(seed), cfg, None, budget).selected
     if cfg is _EMPTY_WINDOW:
