@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -80,13 +81,10 @@ _INT, _FLOAT, _COUNT = number(int), number(float), number(int, 1)
 
 
 def _radii(text: str) -> tuple[float, ...]:
-    """Radii, each finite and > 0, none listed twice: a report keys its rows by radius."""
+    """Radii, each finite and > 0; ``listing`` refuses one listed twice."""
     radii = listing(_FLOAT)(text)
-    for i, radius in enumerate(radii):
-        if not 0 < radius < math.inf:
-            raise ValueError("radius must be finite and > 0")
-        if radius in radii[:i]:
-            raise ValueError(f"radius {radius!r} is listed twice")
+    if not all(0 < radius < math.inf for radius in radii):
+        raise ValueError("radius must be finite and > 0")
     return radii
 
 
@@ -459,7 +457,19 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    """The process's entry point (``python -m sixradii.cli``, the ``sixradii`` script).
+
+    Once ``main`` has returned, or argparse has exited, the process ends, and
+    its teardown frees the heap that numpy and the package built. Freezing
+    that heap first keeps the interpreter's exit-time collections from
+    walking it; output is still flushed and ``atexit`` still runs.
+    ``main`` leaves the collector alone, for callers that go on running.
+    """
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

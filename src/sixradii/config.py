@@ -268,11 +268,18 @@ def number(kind: type, least: float | None = None) -> Callable:
 
 
 def listing(read: Callable) -> Callable:
-    """Read comma-separated values, at least one; empty items are skipped."""
+    """Read comma-separated values, at least one and none twice; empty items are skipped.
+
+    A report keys its rows, points or files by these values, so a value
+    listed twice (``450,450.0`` is twice) would write one row twice.
+    """
     def read_list(text: str) -> tuple:
         values = tuple(read(part) for part in text.split(",") if part.strip())
         if not values:
             raise ValueError("must list at least one value")
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ValueError(f"{value!r} is listed twice")
         return values
     return read_list
 

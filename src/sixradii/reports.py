@@ -10,6 +10,7 @@ thread counts), keeping outputs reproducible.
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 from typing import Collection, Iterable, Mapping, Sequence
 
@@ -34,10 +35,17 @@ def write_json(path: Path, payload: Mapping) -> None:
 def provenance_payload(
     command: str, cfg: RunConfig, reads: Collection[str], parameters: Mapping, results: Mapping
 ) -> dict:
-    """The provenance record of a command that reads the config keys ``reads``."""
+    """The provenance record of a command that reads the config keys ``reads``.
+
+    A seeded command's results come from numpy's PCG64 streams, so its
+    record names the numpy version too; it is read from the loaded module
+    only, so that a command that ran no kernel loads no numpy for it.
+    """
+    numpy = sys.modules.get("numpy") if "seed" in reads else None
     return {
         "command": command,
         "version": __version__,
+        **({"numpy": numpy.__version__} if numpy is not None else {}),
         **({"seed": cfg.seed} if "seed" in reads else {}),
         "config": serialize(cfg, reads),
         "config_digest": digest(cfg, reads),

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import os
 import signal
 
@@ -32,3 +33,17 @@ def no_child_left():
     yield
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(autouse=True)
+def collector_left_running():
+    """Fail any test that leaves the garbage collector frozen or disabled.
+
+    Left so, it would keep every later test's cyclic garbage; it is set
+    running again before the test fails.
+    """
+    yield
+    frozen, enabled = gc.get_freeze_count(), gc.isenabled()
+    gc.unfreeze()
+    gc.enable()
+    assert (frozen, enabled) == (0, True), "the garbage collector was left frozen or disabled"

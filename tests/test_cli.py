@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -247,6 +248,11 @@ def test_campaign_whose_first_iteration_never_passes_the_mark_exits_two(
                  id="sweep-radius-repeated-spelled-apart"),
     pytest.param(["grid", "--radii", "450,450", "--budgets", "10,10", "--campaigns-per-cell",
                   "5", "--seed", "3"], "--radii", id="grid-radii-repeated"),
+    # and so does every list: a budget or a stdev listed twice would write one row twice
+    pytest.param(["grid", "--radii", "450", "--budgets", "10,10", "--campaigns-per-cell", "5",
+                  "--seed", "3"], "--budgets", id="grid-budgets-repeated"),
+    pytest.param(["recip", "--stdevs", "0.1,0.1", "--samples", "10000"], "--stdevs",
+                 id="recip-stdevs-repeated"),
 ], ids=lambda value: value if isinstance(value, str) else value[0])
 def test_argument_errors_exit_two_naming_the_flag(argv, flag, tmp_path, capsys):
     out_dir = tmp_path / "out"
@@ -336,10 +342,26 @@ def test_entry_dispatches_on_sys_argv(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "build_parser", lambda *a: built.append(a) or build_parser(*a))
     monkeypatch.setattr(sys, "argv", ["sixradii", "cf", "--value", "111/106", "--terms", "1",
                                       "--formats", "csv", "--out", str(tmp_path)])
-    assert _parsed(lambda argv: cli.entry(), None, capsys) == (
-        0, "quotients=[1] convergent=1/1 pi=3.0000000\n", "")
+    try:
+        assert _parsed(lambda argv: cli.entry(), None, capsys) == (
+            0, "quotients=[1] convergent=1/1 pi=3.0000000\n", "")
+        # the process is about to exit: its heap is frozen, out of the exit-time collections
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
     assert [p.name for p in tmp_path.iterdir()] == ["cf.csv"]
     assert built == [("cf",)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["cf", "--value", "111/106", "--terms", "1"],
+    ["budget", "--budget", "5", "--campaigns", "4", "--threads", "2"],
+], ids=["cf", "budget-threads-2"])
+def test_main_leaves_the_collector_alone(argv, tmp_path, capsys):
+    # only entry, which ends the process, freezes the heap; an in-process caller keeps a
+    # working collector
+    assert run(capsys, *argv, "--formats", "csv", "--out", str(tmp_path))[0] == 0
+    assert gc.get_freeze_count() == 0 and gc.isenabled()
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
@@ -661,6 +683,10 @@ def test_success_summary_and_files(tmp_path, capsys):
     campaigns = (out_dir / "success_campaigns.csv").read_text().splitlines()
     assert campaigns[0] == "campaign,selected,measurements,discarded"
     assert len(campaigns) == 7
+    # its results come from numpy's PCG64 streams, so its provenance names the numpy version
+    import numpy
+
+    assert json.loads((out_dir / "success.json").read_text())["numpy"] == numpy.__version__
 
 
 @pytest.mark.parametrize("command, record", [
@@ -770,6 +796,7 @@ def test_cf_command(tmp_path, capsys):
     assert out.strip() == "quotients=[1,21,5] convergent=111/106 pi=3.1415094"
     payload = json.loads((out_dir / "cf.json").read_text())
     assert payload["results"]["quotients"] == [1, 21, 5]
+    assert "numpy" not in payload  # no numpy stream behind it, whatever this process loaded
 
 
 def test_cf_rational_value(capsys, tmp_path):

@@ -80,3 +80,16 @@ def test_no_module_imports_a_name_it_never_uses():
                 if name not in used:
                     unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
+
+
+def test_both_ways_of_starting_the_program_go_through_entry():
+    # cli.entry freezes the heap before the process exits; the console script
+    # and ``python -m sixradii.cli`` must both reach it
+    tomllib = pytest.importorskip("tomllib")
+    package = Path(sixradii.__file__).parent
+    pyproject = tomllib.loads((package.parents[1] / "pyproject.toml").read_text(encoding="utf-8"))
+    assert pyproject["project"]["scripts"] == {"sixradii": "sixradii.cli:entry"}
+    tree = ast.parse((package / "cli.py").read_text(encoding="utf-8"))
+    (guard,) = [node for node in tree.body if isinstance(node, ast.If)
+                and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert ast.unparse(guard) == "if __name__ == '__main__':\n    entry()"
